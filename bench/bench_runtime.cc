@@ -510,8 +510,10 @@ int RunJson(const std::string& path) {
     ok = ok && inc_stats.triangle_index_builds == 1 &&
          inc_stats.nucleus34_arena_builds == 1 &&
          inc_stats.hierarchy_builds == 1 && inc_stats.compactions == 0 &&
-         inc_stats.nucleus34_kappa_seeds == churn_commits &&
-         inc_stats.hierarchy_repairs == churn_commits;
+         inc_stats.nucleus34_kappa_seeds ==
+             static_cast<std::uint64_t>(churn_commits) &&
+         inc_stats.hierarchy_repairs ==
+             static_cast<std::uint64_t>(churn_commits);
 
     // Rebuild arm: identical mutations, wholesale invalidation per commit.
     NucleusSession reb(g);
@@ -576,12 +578,23 @@ int RunJson(const std::string& path) {
   // < 100 ms. The check flag asserts the run actually reported kCancelled
   // and the session stayed retryable (the unbounded retry succeeds).
   {
-    NucleusSession session(g);
-    CancelToken token;
     DecomposeOptions opt;
     opt.method = Method::kAnd;
     opt.threads = threads;
     opt.materialize = Materialize::kOn;
+    // The cancel fires a quarter of the way into the build, timed from an
+    // identical uncancelled cold build: deep enough that triangle/arena/
+    // engine work is in flight, and never after a build that got faster
+    // has already finished.
+    Timer probe_timer;
+    {
+      NucleusSession probe(g);
+      (void)probe.Decompose(DecompositionKind::kNucleus34, opt);
+    }
+    const auto cancel_after = std::chrono::microseconds(
+        static_cast<std::int64_t>(probe_timer.Seconds() * 1e6 / 4));
+    NucleusSession session(g);
+    CancelToken token;
     opt.cancel_token = &token;
     std::atomic<bool> started{false};
     Status run_status = Status::Ok();
@@ -591,10 +604,7 @@ int RunJson(const std::string& path) {
           session.Decompose(DecompositionKind::kNucleus34, opt).status();
     });
     while (!started.load()) std::this_thread::yield();
-    // Deep enough that triangle/arena/engine work is in flight, short
-    // enough that the build (hundreds of ms even in fast mode) cannot
-    // finish first.
-    std::this_thread::sleep_for(std::chrono::milliseconds(fast ? 10 : 100));
+    std::this_thread::sleep_for(cancel_after);
     Timer t;
     token.RequestCancel();
     worker.join();

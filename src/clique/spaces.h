@@ -6,6 +6,10 @@
 // Following Section 5 of the paper, s-clique participation is computed
 // on the fly from adjacency intersections; no r-clique/s-clique hypergraph
 // is ever materialized.
+//
+// The canonical three also report every s-clique once globally, with its
+// full member list (ForEachSCliqueMembers): the feeder of the one-pass
+// hierarchy build (peel/hierarchy_impl.h).
 #ifndef NUCLEUS_CLIQUE_SPACES_H_
 #define NUCLEUS_CLIQUE_SPACES_H_
 
@@ -17,6 +21,7 @@
 #include "src/clique/four_cliques.h"
 #include "src/clique/intersect.h"
 #include "src/clique/triangles.h"
+#include "src/common/cancel.h"
 #include "src/common/types.h"
 #include "src/graph/graph.h"
 
@@ -46,6 +51,23 @@ class CoreSpace {
     for (VertexId u : g_->Neighbors(static_cast<VertexId>(v))) {
       const CliqueId co[1] = {u};
       fn(std::span<const CliqueId>(co, 1));
+    }
+  }
+
+  /// Calls fn once per edge {u, v}, u < v, with the member list (u, v).
+  /// A stoppable `ctl` may abandon the enumeration; the caller checks ctl
+  /// afterwards and discards what it collected.
+  template <typename Fn>
+  void ForEachSCliqueMembers(Fn&& fn, RunControl ctl = {}) const {
+    const bool can_stop = ctl.CanStop();
+    CheckEvery<64> poll;
+    for (VertexId u = 0; u < g_->NumVertices(); ++u) {
+      if (can_stop && poll.Due() && ctl.ShouldStop()) return;
+      for (VertexId v : g_->Neighbors(u)) {
+        if (v <= u) continue;
+        const CliqueId members[2] = {u, v};
+        fn(std::span<const CliqueId>(members, 2));
+      }
     }
   }
 
@@ -94,6 +116,22 @@ class TrussSpace {
       const CliqueId co[2] = {edges_->EdgeIdOf(u, w), edges_->EdgeIdOf(v, w)};
       fn(std::span<const CliqueId>(co, 2));
     });
+  }
+
+  /// Calls fn once per triangle with its three edge ids: one oriented
+  /// triangle enumeration plus three id lookups per triangle. A stoppable
+  /// `ctl` may abandon the enumeration; the caller checks ctl afterwards.
+  template <typename Fn>
+  void ForEachSCliqueMembers(Fn&& fn, RunControl ctl = {}) const {
+    ForEachTriangleBlocks(
+        *g_, 1,
+        [&](int, VertexId u, VertexId v, VertexId w) {
+          const CliqueId members[3] = {edges_->EdgeIdOf(u, v),
+                                       edges_->EdgeIdOf(u, w),
+                                       edges_->EdgeIdOf(v, w)};
+          fn(std::span<const CliqueId>(members, 3));
+        },
+        ctl);
   }
 
   const Graph& graph() const { return *g_; }
@@ -145,6 +183,23 @@ class Nucleus34Space {
                          tris_->TriangleIdOf(tri[1], tri[2], x)};
                      fn(std::span<const CliqueId>(co, 3));
                    });
+  }
+
+  /// Calls fn once per 4-clique with its four triangle ids: one oriented
+  /// 4-clique enumeration plus four id lookups per 4-clique. A stoppable
+  /// `ctl` may abandon the enumeration; the caller checks ctl afterwards.
+  template <typename Fn>
+  void ForEachSCliqueMembers(Fn&& fn, RunControl ctl = {}) const {
+    ForEachFourCliqueBlocks(
+        *g_, 1,
+        [&](int, VertexId a, VertexId b, VertexId c, VertexId d) {
+          const CliqueId members[4] = {tris_->TriangleIdOf(a, b, c),
+                                       tris_->TriangleIdOf(a, b, d),
+                                       tris_->TriangleIdOf(a, c, d),
+                                       tris_->TriangleIdOf(b, c, d)};
+          fn(std::span<const CliqueId>(members, 4));
+        },
+        ctl);
   }
 
   const Graph& graph() const { return *g_; }

@@ -149,13 +149,23 @@ TriangleIndex::TriangleIndex(const Graph& g, int threads, RunControl ctl) {
   std::sort(triangles_.begin(), triangles_.end());
   base_triangles_ = triangles_.size();
   num_live_ = triangles_.size();
+  lowest_begin_.assign(g.NumVertices() + 1, 0);
+  for (const auto& tri : triangles_) ++lowest_begin_[tri[0] + 1];
+  for (std::size_t u = 0; u < g.NumVertices(); ++u) {
+    lowest_begin_[u + 1] += lowest_begin_[u];
+  }
 }
 
 TriangleId TriangleIndex::BaseIdOf(
     const std::array<VertexId, 3>& key) const {
+  // A lowest vertex past the build-time vertices has no pristine range.
+  const std::size_t u = key[0];
+  if (u + 1 >= lowest_begin_.size()) return kInvalidTriangle;
+  const auto begin =
+      triangles_.begin() + static_cast<std::ptrdiff_t>(lowest_begin_[u]);
   const auto end =
-      triangles_.begin() + static_cast<std::ptrdiff_t>(base_triangles_);
-  const auto it = std::lower_bound(triangles_.begin(), end, key);
+      triangles_.begin() + static_cast<std::ptrdiff_t>(lowest_begin_[u + 1]);
+  const auto it = std::lower_bound(begin, end, key);
   if (it == end || *it != key) return kInvalidTriangle;
   return static_cast<TriangleId>(it - triangles_.begin());
 }

@@ -58,9 +58,12 @@ std::vector<Degree> TriangleCountsPerEdge(const Graph& g,
                                           int threads = 1);
 
 /// Dense ids for triangles, stored as sorted (u < v < w) triples. Pristine
-/// ids are in lexicographic order so lookup is a binary search; ids patched
-/// in by ApplyDelta append past the pristine range and resolve through an
-/// overlay hash map.
+/// ids are in lexicographic order, and a per-vertex offset array (built
+/// once, O(n)) gives each lowest vertex its own id range, so lookup is a
+/// binary search within that range only; ids patched in by ApplyDelta
+/// append past the pristine range and resolve through an overlay hash map
+/// (as does any triple whose lowest vertex is past the build-time vertex
+/// count).
 class TriangleIndex {
  public:
   /// Builds the index with a counting pre-pass (one exact allocation, no
@@ -127,11 +130,14 @@ class TriangleIndex {
       return static_cast<std::size_t>(h ^ (h >> 32));
     }
   };
-  // Binary search in the pristine sorted range; ignores liveness.
+  // Binary search in key[0]'s pristine range; ignores liveness.
   TriangleId BaseIdOf(const std::array<VertexId, 3>& key) const;
 
   std::vector<std::array<VertexId, 3>> triangles_;
   std::size_t base_triangles_ = 0;  // triangles_.size() at construction
+  // Pristine ids whose lowest vertex is u: [lowest_begin_[u],
+  // lowest_begin_[u + 1]); one entry per build-time vertex, plus one.
+  std::vector<std::size_t> lowest_begin_;
   bool aborted_ = false;            // stoppable build stopped mid-stream
   // Patch state; all empty until the first ApplyDelta.
   std::vector<std::uint8_t> dead_;

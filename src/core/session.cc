@@ -126,7 +126,7 @@ NucleusSession::NucleusSession(Graph&& graph)
 
 NucleusSession::NucleusSession(const Graph& graph) : graph_(&graph) {}
 
-void NucleusSession::BumpStat(int SessionStats::* field) {
+void NucleusSession::BumpStat(std::uint64_t SessionStats::* field) {
   std::lock_guard<std::mutex> lk(stats_mu_);
   ++(stats_.*field);
 }
@@ -297,7 +297,7 @@ void NucleusSession::StoreResult(DecompositionKind kind,
 template <typename Space, typename MakeSpace>
 StatusOr<DecomposeResult> NucleusSession::DecomposeWithSpace(
     DecompositionKind kind, const DecomposeOptions& options,
-    ArenaCell<Space>* cell, int SessionStats::* arena_counter,
+    ArenaCell<Space>* cell, std::uint64_t SessionStats::* arena_counter,
     MakeSpace&& make_space, double index_seconds, RunControl ctl) {
   const Space* base = nullptr;
   const CsrSpace<Space>* arena = nullptr;
@@ -1131,19 +1131,28 @@ Status NucleusSession::PropagateDelta(const EdgeDelta& delta,
                                         new_core_kappa, space.LiveRFlags(),
                                         level));
   }
+  // The repair re-sweeps per member, so an uncompressed arena (already
+  // patched in stage 5) serves it by contiguous scans instead of
+  // per-member intersections and id lookups; the fly space otherwise.
+  const auto repair = [&](const auto& space, const auto& cell,
+                          const NucleusHierarchy& old,
+                          const std::vector<Degree>& kappa, Degree level) {
+    return cell.arena ? RepairHierarchy(*cell.arena, old, kappa,
+                                        space.LiveRFlags(), level)
+                      : RepairHierarchy(space, old, kappa,
+                                        space.LiveRFlags(), level);
+  };
   if (old_hierarchy[1] && eidx != nullptr) {
-    const TrussSpace space(*graph_, *eidx);
     install_repaired(
-        1, RepairHierarchy(space, *old_hierarchy[1], new_truss_kappa,
-                           space.LiveRFlags(),
-                           touched_level(old_kappa[1], new_truss_kappa)));
+        1, repair(TrussSpace(*graph_, *eidx), truss_, *old_hierarchy[1],
+                  new_truss_kappa,
+                  touched_level(old_kappa[1], new_truss_kappa)));
   }
   if (old_hierarchy[2] && tidx != nullptr) {
-    const Nucleus34Space space(*graph_, *tidx);
     install_repaired(
-        2, RepairHierarchy(space, *old_hierarchy[2], new_n34_kappa,
-                           space.LiveRFlags(),
-                           touched_level(old_kappa[2], new_n34_kappa)));
+        2, repair(Nucleus34Space(*graph_, *tidx), nucleus34_,
+                  *old_hierarchy[2], new_n34_kappa,
+                  touched_level(old_kappa[2], new_n34_kappa)));
   }
 
   // Stage 7: compaction. Patching keeps commits O(delta) but leaves
@@ -1243,9 +1252,11 @@ SessionStateStats NucleusSession::Stats() const {
   if (const TriangleIndex* tidx = triangle_index_.TryGet(); tidx != nullptr) {
     s.triangle_ids = tidx->NumTriangles();
     s.live_triangles = tidx->NumLiveTriangles();
-    // Vertex triples + the sorted id-lookup keys.
+    // Vertex triples + the sorted id-lookup keys + the per-vertex
+    // lookup offsets.
     s.index_bytes +=
-        s.triangle_ids * (3 * sizeof(VertexId) + sizeof(TriangleId) + 8);
+        s.triangle_ids * (3 * sizeof(VertexId) + sizeof(TriangleId) + 8) +
+        (s.num_vertices + 1) * sizeof(std::size_t);
   }
   if (const EdgeTriangleCsr* etc = edge_triangle_csr_.TryGet();
       etc != nullptr) {

@@ -185,45 +185,45 @@ struct DecomposeResult {
 /// reuse contract ("index built exactly once", "incremental commits do not
 /// rebuild") is asserted against these.
 struct SessionStats {
-  int edge_index_builds = 0;
-  int triangle_index_builds = 0;
-  int edge_triangle_csr_builds = 0;
-  int core_arena_builds = 0;
-  int truss_arena_builds = 0;
-  int nucleus34_arena_builds = 0;
-  int decompose_calls = 0;
-  int decompose_cache_hits = 0;
-  int hierarchy_builds = 0;
-  int query_calls = 0;
-  int commits = 0;
+  std::uint64_t edge_index_builds = 0;
+  std::uint64_t triangle_index_builds = 0;
+  std::uint64_t edge_triangle_csr_builds = 0;
+  std::uint64_t core_arena_builds = 0;
+  std::uint64_t truss_arena_builds = 0;
+  std::uint64_t nucleus34_arena_builds = 0;
+  std::uint64_t decompose_calls = 0;
+  std::uint64_t decompose_cache_hits = 0;
+  std::uint64_t hierarchy_builds = 0;
+  std::uint64_t query_calls = 0;
+  std::uint64_t commits = 0;
   /// Mutating commits that propagated the delta through cached state in
   /// place (vs. commits with nothing cached to patch).
-  int incremental_commits = 0;
+  std::uint64_t incremental_commits = 0;
   /// Commits that re-densified an id space because its tombstone fraction
   /// crossed kDeadFractionForCompaction.
-  int compactions = 0;
+  std::uint64_t compactions = 0;
   /// Commits that re-seeded the (2,3) kappa cache from the batch's
   /// DynamicTrussMaintainer.
-  int truss_kappa_seeds = 0;
+  std::uint64_t truss_kappa_seeds = 0;
   /// Commits that re-seeded the (3,4) kappa cache from the batch's
   /// DynamicNucleus34Maintainer.
-  int nucleus34_kappa_seeds = 0;
+  std::uint64_t nucleus34_kappa_seeds = 0;
   /// Cached hierarchies repaired in place by a commit (localized level
   /// re-sweep instead of a full rebuild; one count per repaired kind).
-  int hierarchy_repairs = 0;
+  std::uint64_t hierarchy_repairs = 0;
   /// Deadline-aware degradations: a budgeted arena build whose deadline
   /// share expired while the overall request was still alive fell back to
   /// the on-the-fly space instead of failing the request.
-  int degraded_builds = 0;
+  std::uint64_t degraded_builds = 0;
   /// Arena builds that produced the delta-compressed representation
   /// (compressed_csr_space.h) — the explicit kCompressed mode, or kAuto
   /// degrading there after the uncompressed arena exceeded the budget.
   /// Also counted in the per-kind *_arena_builds.
-  int compressed_builds = 0;
+  std::uint64_t compressed_builds = 0;
   /// Mutating commits that dropped an immutable compressed arena (it
   /// cannot be patched in place); the next decompose of that kind rebuilds
   /// it lazily.
-  int compressed_drops = 0;
+  std::uint64_t compressed_drops = 0;
 };
 
 /// Read-only snapshot of the session's observable state: the monotone
@@ -579,7 +579,7 @@ class NucleusSession {
   template <typename Space, typename MakeSpace>
   StatusOr<DecomposeResult> DecomposeWithSpace(
       DecompositionKind kind, const DecomposeOptions& options,
-      ArenaCell<Space>* cell, int SessionStats::* arena_counter,
+      ArenaCell<Space>* cell, std::uint64_t SessionStats::* arena_counter,
       MakeSpace&& make_space, double index_seconds, RunControl ctl);
 
   // Serves a repeat request from the kind's result cell, or std::nullopt
@@ -600,7 +600,7 @@ class NucleusSession {
   Status PropagateDelta(const EdgeDelta& delta, Graph&& new_graph,
                         const UpdateBatch& batch, RunControl ctl);
   void ResetDerivedState();
-  void BumpStat(int SessionStats::* field);
+  void BumpStat(std::uint64_t SessionStats::* field);
 
   Graph storage_;        // owned graph (empty when borrowing, pre-commit)
   const Graph* graph_;   // points at storage_ or at the borrowed graph

@@ -4,6 +4,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/clique/csr_space.h"
 #include "src/peel/hierarchy_impl.h"
 
 namespace nucleus {
@@ -48,6 +49,15 @@ template NucleusHierarchy RepairHierarchy<TrussSpace>(
     std::span<const std::uint8_t>, Degree, RunControl);
 template NucleusHierarchy RepairHierarchy<Nucleus34Space>(
     const Nucleus34Space&, const NucleusHierarchy&,
+    const std::vector<Degree>&, std::span<const std::uint8_t>, Degree,
+    RunControl);
+// Arena-backed repairs: the session re-sweeps over its patched arenas.
+template NucleusHierarchy RepairHierarchy<CsrSpace<TrussSpace>>(
+    const CsrSpace<TrussSpace>&, const NucleusHierarchy&,
+    const std::vector<Degree>&, std::span<const std::uint8_t>, Degree,
+    RunControl);
+template NucleusHierarchy RepairHierarchy<CsrSpace<Nucleus34Space>>(
+    const CsrSpace<Nucleus34Space>&, const NucleusHierarchy&,
     const std::vector<Degree>&, std::span<const std::uint8_t>, Degree,
     RunControl);
 

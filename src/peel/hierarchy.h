@@ -56,8 +56,12 @@ struct NucleusHierarchy {
 /// which r-clique ids exist (patched indices keep tombstoned ids in the
 /// id space); dead ids are excluded from every node and get
 /// node_of_clique == -1. Empty means all ids are live.
+/// Spaces that report each s-clique once with its full member list
+/// (ForEachSCliqueMembers: the canonical core, truss and (3,4) spaces)
+/// are swept in one global pass over their s-cliques; any other space
+/// enumerates per member. Both give the same forest (hierarchy_impl.h).
 /// A stoppable `ctl` (on any overload, and on RepairHierarchy) abandons
-/// the union-find sweep mid-stream; the returned forest then has
+/// the construction mid-stream; the returned forest then has
 /// `aborted == true` and must be discarded.
 template <typename Space>
 NucleusHierarchy BuildHierarchy(const Space& space,

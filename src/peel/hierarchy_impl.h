@@ -9,14 +9,32 @@
 // from a cache or a converged local run) derives the partition in one
 // counting pass first.
 //
+// TWO FEEDERS, ONE SWEEP. Each level's union step joins the r-cliques of
+// every s-clique that becomes alive at that level (its minimum member
+// level). Two feeders produce those s-cliques:
+//   - one-pass (fresh builds over spaces with ForEachSCliqueMembers: the
+//     canonical core, truss and (3,4) spaces): every s-clique is
+//     enumerated exactly once globally, dropped if a member lies outside
+//     the partition, and bucketed at its minimum member level; each
+//     level then unions its bucket.
+//   - per-member (RepairHierarchy, and spaces without that method such as
+//     GenericRsSpace or a CsrSpace arena): each newly active r-clique
+//     enumerates its own s-cliques and keeps those whose members are all
+//     active — once per member, with the space's per-member intersections.
+// Both hand the same s-cliques to the same level, and the node-creation
+// step that follows is shared.
+//
 // CANONICAL FORM: every construction path feeds each level's members in
 // ascending id order (the kappa overload buckets ids ascending; the
-// PeelResult overload sorts each level segment first). The union-find
-// sweep's output depends only on that order — DSU representative choices
-// never leak into the node array — so hierarchies of the same (space,
-// kappa, liveness) are bitwise-identical however they were built. That is
-// what lets RepairHierarchy splice a kept node prefix onto a resumed
-// sweep and still match a full rebuild exactly.
+// PeelResult overload sorts each level segment first). The sweep's output
+// depends only on that order and on the components after each level's
+// union step — not on the order the unions ran in, and DSU representative
+// choices never leak into the node array (children are sorted, nodes are
+// numbered by their smallest new member's position) — so hierarchies of
+// the same (space, kappa, liveness) are bitwise-identical however they
+// were built and whichever feeder ran. That is what lets RepairHierarchy
+// splice a kept node prefix onto a resumed per-member sweep and still
+// match a one-pass rebuild exactly.
 #ifndef NUCLEUS_PEEL_HIERARCHY_IMPL_H_
 #define NUCLEUS_PEEL_HIERARCHY_IMPL_H_
 
@@ -51,28 +69,38 @@ struct HierarchySweepState {
       : dsu(n), active(n, false), node_of_root(n, -1) {}
 };
 
+/// Spaces that can report every s-clique exactly once with its full
+/// member list (the one-pass feeder; see the header comment).
+template <typename Space>
+concept EnumeratesSCliquesOnce = requires(const Space& space) {
+  space.ForEachSCliqueMembers([](std::span<const CliqueId>) {},
+                              RunControl());
+};
+
 /// Runs the union-find sweep over `levels_desc` — (k, members-with-that-k)
 /// in strictly DESCENDING k, live ids only, each level's members in
 /// ascending id order (see the canonical-form comment above) — appending
 /// nodes to h->nodes and updating the sweep state in place. Levels already
 /// reflected in `state` must not reappear here.
-template <typename Space>
+///
+/// The union step of level i is the feeder's:
+/// `union_level(i, newly, unite)` must call unite(a, b) for r-cliques a, b
+/// of every s-clique that becomes alive at that level (all members at
+/// kappa >= k, at least one at k), in any order, and return false when
+/// stopped — the forest is then partial and h->aborted tells callers to
+/// discard it.
+template <typename UnionLevel>
 void RunHierarchySweep(
-    const Space& space, NucleusHierarchy* h, HierarchySweepState* state,
+    NucleusHierarchy* h, HierarchySweepState* state,
     std::span<const std::pair<Degree, std::span<const CliqueId>>>
         levels_desc,
-    RunControl ctl = {}) {
-  const bool can_stop = ctl.CanStop();
-  CheckEvery<64> poll;
-  for (const auto& [level, newly] : levels_desc) {
+    UnionLevel&& union_level) {
+  for (std::size_t i = 0; i < levels_desc.size(); ++i) {
+    const auto& [level, newly] = levels_desc[i];
     if (newly.empty()) continue;
-    for (CliqueId r : newly) state->active[r] = true;
 
-    // Union step: an s-clique is alive at this level iff all of its
-    // r-cliques are active (kappa >= level). Every s-clique that first
-    // becomes alive now contains at least one member of `newly`, so
-    // enumerating from `newly` finds all of them. Track the old top nodes
-    // that get merged so they become children of the new node.
+    // Union step. Track the old top nodes that get merged so they become
+    // children of the new node.
     std::unordered_map<CliqueId, std::vector<int>> pending_children;
     auto absorb = [&](CliqueId root, std::vector<int>* out) {
       if (state->node_of_root[root] != -1) {
@@ -85,32 +113,22 @@ void RunHierarchySweep(
         pending_children.erase(it);
       }
     };
-    for (CliqueId r : newly) {
-      // The per-member s-clique enumeration dominates sweep cost, so the
-      // stop poll sits here. A stopped sweep leaves the forest partial;
-      // the aborted flag tells callers to discard it.
-      if (can_stop && poll.Due() && ctl.ShouldStop()) {
-        h->aborted = true;
-        return;
+    const auto unite = [&](CliqueId a, CliqueId b) {
+      const CliqueId ra = state->dsu.Find(a);
+      const CliqueId rb = state->dsu.Find(b);
+      if (ra == rb) return;
+      std::vector<int> children;
+      absorb(ra, &children);
+      absorb(rb, &children);
+      const CliqueId merged = state->dsu.Union(ra, rb);
+      if (!children.empty()) {
+        auto& vec = pending_children[merged];
+        vec.insert(vec.end(), children.begin(), children.end());
       }
-      space.ForEachSClique(r, [&](std::span<const CliqueId> co) {
-        for (CliqueId c : co) {
-          if (!state->active[c]) return;  // s-clique not alive yet
-        }
-        for (CliqueId c : co) {
-          const CliqueId ra = state->dsu.Find(r);
-          const CliqueId rb = state->dsu.Find(c);
-          if (ra == rb) continue;
-          std::vector<int> children;
-          absorb(ra, &children);
-          absorb(rb, &children);
-          const CliqueId merged = state->dsu.Union(ra, rb);
-          if (!children.empty()) {
-            auto& vec = pending_children[merged];
-            vec.insert(vec.end(), children.begin(), children.end());
-          }
-        }
-      });
+    };
+    if (!union_level(i, newly, unite)) {
+      h->aborted = true;
+      return;
     }
 
     // Node creation step: one node per distinct component that contains a
@@ -140,6 +158,95 @@ void RunHierarchySweep(
   }
 }
 
+/// Per-member feeder: every newly active r-clique enumerates its own
+/// s-cliques and unions those whose members are all active. An s-clique
+/// first alive at level k has a member of that level, so enumerating from
+/// `newly` finds all of them.
+template <typename Space>
+void SweepPerMember(
+    const Space& space, NucleusHierarchy* h, HierarchySweepState* state,
+    std::span<const std::pair<Degree, std::span<const CliqueId>>>
+        levels_desc,
+    RunControl ctl) {
+  const bool can_stop = ctl.CanStop();
+  CheckEvery<64> poll;
+  RunHierarchySweep(
+      h, state, levels_desc,
+      [&](std::size_t, std::span<const CliqueId> newly, const auto& unite) {
+        for (CliqueId r : newly) state->active[r] = true;
+        for (CliqueId r : newly) {
+          // The per-member s-clique enumeration dominates this feeder's
+          // cost, so the stop poll sits here.
+          if (can_stop && poll.Due() && ctl.ShouldStop()) return false;
+          space.ForEachSClique(r, [&](std::span<const CliqueId> co) {
+            for (CliqueId c : co) {
+              if (!state->active[c]) return;  // s-clique not alive yet
+            }
+            for (CliqueId c : co) unite(r, c);
+          });
+        }
+        return true;
+      });
+}
+
+/// One-pass feeder: enumerates every s-clique once, buckets it at the
+/// level where it becomes alive (its sparsest member's level; s-cliques
+/// with a member outside the partition — a dead id, or one above the
+/// partition's levels — never become alive and are dropped), then unions
+/// each level's bucket. Costs one global s-clique enumeration instead of
+/// one per member, with no per-member intersections.
+template <typename Space>
+void SweepOnePass(
+    const Space& space, NucleusHierarchy* h, HierarchySweepState* state,
+    std::span<const std::pair<Degree, std::span<const CliqueId>>>
+        levels_desc,
+    RunControl ctl) {
+  const std::size_t n = space.NumRCliques();
+  // level_of[r]: index into levels_desc of r's level (0 = densest), or
+  // kOutside. An s-clique becomes alive at the largest index among its
+  // members, so one max per s-clique both buckets and filters it.
+  constexpr std::uint32_t kOutside = std::numeric_limits<std::uint32_t>::max();
+  std::vector<std::uint32_t> level_of(n, kOutside);
+  for (std::size_t i = 0; i < levels_desc.size(); ++i) {
+    for (CliqueId r : levels_desc[i].second) {
+      level_of[r] = static_cast<std::uint32_t>(i);
+    }
+  }
+  std::vector<std::vector<CliqueId>> buckets(levels_desc.size());
+  std::size_t arity = 0;  // members per s-clique (C(s, r))
+  space.ForEachSCliqueMembers(
+      [&](std::span<const CliqueId> members) {
+        std::uint32_t at = 0;
+        for (CliqueId m : members) {
+          const std::uint32_t l = m < n ? level_of[m] : kOutside;
+          if (l == kOutside) return;
+          at = std::max(at, l);
+        }
+        arity = members.size();
+        buckets[at].insert(buckets[at].end(), members.begin(), members.end());
+      },
+      ctl);
+  const bool can_stop = ctl.CanStop();
+  if (can_stop && ctl.ShouldStop()) {
+    h->aborted = true;
+    return;
+  }
+  CheckEvery<64> poll;
+  RunHierarchySweep(
+      h, state, levels_desc,
+      [&](std::size_t i, std::span<const CliqueId>, const auto& unite) {
+        const std::vector<CliqueId>& bucket = buckets[i];
+        for (std::size_t p = 0; p < bucket.size(); p += arity) {
+          if (can_stop && poll.Due() && ctl.ShouldStop()) return false;
+          for (std::size_t j = 1; j < arity; ++j) {
+            unite(bucket[p], bucket[p + j]);
+          }
+        }
+        std::vector<CliqueId>().swap(buckets[i]);  // consumed
+        return true;
+      });
+}
+
 /// Sizes and roots, recomputed from scratch (safe on a repaired forest
 /// whose kept prefix carries stale sizes). Children are created at a
 /// higher level, hence earlier, so every child id < its parent id and one
@@ -156,7 +263,8 @@ inline void FinalizeHierarchy(NucleusHierarchy* h) {
   }
 }
 
-/// Shared union-find sweep over a full level partition (fresh build).
+/// Union-find sweep over a full level partition (fresh build), fed in one
+/// pass when the space supports it.
 template <typename Space>
 NucleusHierarchy BuildHierarchyFromLevels(
     const Space& space, std::size_t n,
@@ -167,7 +275,11 @@ NucleusHierarchy BuildHierarchyFromLevels(
   h.node_of_clique.assign(n, -1);
   if (n == 0) return h;
   HierarchySweepState state(n);
-  RunHierarchySweep(space, &h, &state, levels_desc, ctl);
+  if constexpr (EnumeratesSCliquesOnce<Space>) {
+    SweepOnePass(space, &h, &state, levels_desc, ctl);
+  } else {
+    SweepPerMember(space, &h, &state, levels_desc, ctl);
+  }
   if (h.aborted) return h;  // partial; caller discards
   FinalizeHierarchy(&h);
   return h;
@@ -308,7 +420,7 @@ NucleusHierarchy RepairHierarchy(const Space& space,
   std::vector<std::vector<CliqueId>> by_level;
   const auto levels_desc = internal::LevelsDescFromKappa(
       kappa, live, max_touched_level, &by_level);
-  internal::RunHierarchySweep(space, &h, &state, levels_desc, ctl);
+  internal::SweepPerMember(space, &h, &state, levels_desc, ctl);
   if (h.aborted) return h;  // partial; caller discards
   internal::FinalizeHierarchy(&h);
   return h;

@@ -165,6 +165,20 @@ StatusOr<Target> ResolveTarget(GraphRegistry& registry, const JsonValue& body,
   return t;
 }
 
+double ElapsedMs(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
+// Negative entries are keyed on the raw request (endpoint + body bytes):
+// a repeated failing request is byte-for-byte the same retry loop, so the
+// exact key hits without any parsing. Bounded so a scan of distinct bad
+// requests cannot grow the map.
+constexpr std::size_t kNegativeCacheCap = 1024;
+
+}  // namespace
+
 void WriteSessionStats(JsonWriter& w, const SessionStateStats& s) {
   static const char* kKinds[3] = {"core", "truss", "nucleus34"};
   w.Key("num_vertices").UInt(s.num_vertices);
@@ -190,41 +204,27 @@ void WriteSessionStats(JsonWriter& w, const SessionStateStats& s) {
   w.EndObject();
   const SessionStats& c = s.counters;
   w.Key("counters").BeginObject();
-  w.Key("decompose_calls").Int(c.decompose_calls);
-  w.Key("decompose_cache_hits").Int(c.decompose_cache_hits);
-  w.Key("edge_index_builds").Int(c.edge_index_builds);
-  w.Key("triangle_index_builds").Int(c.triangle_index_builds);
-  w.Key("edge_triangle_csr_builds").Int(c.edge_triangle_csr_builds);
-  w.Key("core_arena_builds").Int(c.core_arena_builds);
-  w.Key("truss_arena_builds").Int(c.truss_arena_builds);
-  w.Key("nucleus34_arena_builds").Int(c.nucleus34_arena_builds);
-  w.Key("hierarchy_builds").Int(c.hierarchy_builds);
-  w.Key("hierarchy_repairs").Int(c.hierarchy_repairs);
-  w.Key("query_calls").Int(c.query_calls);
-  w.Key("commits").Int(c.commits);
-  w.Key("incremental_commits").Int(c.incremental_commits);
-  w.Key("compactions").Int(c.compactions);
-  w.Key("truss_kappa_seeds").Int(c.truss_kappa_seeds);
-  w.Key("nucleus34_kappa_seeds").Int(c.nucleus34_kappa_seeds);
-  w.Key("degraded_builds").Int(c.degraded_builds);
-  w.Key("compressed_builds").Int(c.compressed_builds);
-  w.Key("compressed_drops").Int(c.compressed_drops);
+  w.Key("decompose_calls").UInt(c.decompose_calls);
+  w.Key("decompose_cache_hits").UInt(c.decompose_cache_hits);
+  w.Key("edge_index_builds").UInt(c.edge_index_builds);
+  w.Key("triangle_index_builds").UInt(c.triangle_index_builds);
+  w.Key("edge_triangle_csr_builds").UInt(c.edge_triangle_csr_builds);
+  w.Key("core_arena_builds").UInt(c.core_arena_builds);
+  w.Key("truss_arena_builds").UInt(c.truss_arena_builds);
+  w.Key("nucleus34_arena_builds").UInt(c.nucleus34_arena_builds);
+  w.Key("hierarchy_builds").UInt(c.hierarchy_builds);
+  w.Key("hierarchy_repairs").UInt(c.hierarchy_repairs);
+  w.Key("query_calls").UInt(c.query_calls);
+  w.Key("commits").UInt(c.commits);
+  w.Key("incremental_commits").UInt(c.incremental_commits);
+  w.Key("compactions").UInt(c.compactions);
+  w.Key("truss_kappa_seeds").UInt(c.truss_kappa_seeds);
+  w.Key("nucleus34_kappa_seeds").UInt(c.nucleus34_kappa_seeds);
+  w.Key("degraded_builds").UInt(c.degraded_builds);
+  w.Key("compressed_builds").UInt(c.compressed_builds);
+  w.Key("compressed_drops").UInt(c.compressed_drops);
   w.EndObject();
 }
-
-double ElapsedMs(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
-// Negative entries are keyed on the raw request (endpoint + body bytes):
-// a repeated failing request is byte-for-byte the same retry loop, so the
-// exact key hits without any parsing. Bounded so a scan of distinct bad
-// requests cannot grow the map.
-constexpr std::size_t kNegativeCacheCap = 1024;
-
-}  // namespace
 
 RequestClass ClassifyEndpoint(std::string_view endpoint) {
   if (endpoint == "query" || endpoint == "stats" || endpoint == "densest") {

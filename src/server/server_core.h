@@ -51,6 +51,7 @@
 namespace nucleus {
 
 class JsonValue;
+class JsonWriter;
 
 /// Admission classes: every endpoint maps to one, and the queue dequeues
 /// across them by weighted round-robin with per-class concurrency caps, so
@@ -65,6 +66,11 @@ inline constexpr int kNumRequestClasses = 4;
 
 RequestClass ClassifyEndpoint(std::string_view endpoint);
 const char* RequestClassName(RequestClass cls);
+
+/// Writes a session's state snapshot as members of the object open in
+/// `w`: the body of /api/stats and of each graph's /metricz entry.
+/// Counters are unsigned 64-bit and serialize without narrowing.
+void WriteSessionStats(JsonWriter& w, const SessionStateStats& s);
 
 /// Per-class scheduling knobs. Weight is the dequeue share when several
 /// classes have runnable work (smooth weighted round-robin). The cap

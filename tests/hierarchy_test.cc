@@ -3,11 +3,24 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <cstdint>
+#include <limits>
 #include <set>
+#include <span>
+#include <thread>
+#include <utility>
+#include <vector>
 
+#include "src/clique/csr_space.h"
+#include "src/common/cancel.h"
+#include "src/common/rng.h"
+#include "src/core/session.h"
 #include "src/graph/builder.h"
 #include "src/graph/generators.h"
 #include "src/peel/generic_peel.h"
+#include "src/peel/hierarchy_impl.h"  // BuildHierarchy over CsrSpace
 
 namespace nucleus {
 namespace {
@@ -196,6 +209,261 @@ TEST(Hierarchy, SingleVertex) {
   ASSERT_EQ(h.nodes.size(), 1u);
   EXPECT_EQ(h.nodes[0].k, 0u);
   EXPECT_EQ(h.Depth(), 1u);
+}
+
+// ---------------------------------------------------------------------------
+// One-pass vs per-member construction. A fresh BuildHierarchy over the
+// canonical spaces enumerates every s-clique once and unions it at its
+// level; RepairHierarchy from an empty forest with no level bound re-sweeps
+// every level per member. Both must produce the same forest, bit for bit.
+
+void ExpectSameForest(const NucleusHierarchy& got,
+                      const NucleusHierarchy& want, const std::string& what) {
+  ASSERT_FALSE(got.aborted) << what;
+  ASSERT_FALSE(want.aborted) << what;
+  ASSERT_EQ(got.nodes.size(), want.nodes.size()) << what;
+  for (std::size_t i = 0; i < want.nodes.size(); ++i) {
+    const auto& gn = got.nodes[i];
+    const auto& wn = want.nodes[i];
+    ASSERT_EQ(gn.k, wn.k) << what << " node " << i;
+    ASSERT_EQ(gn.parent, wn.parent) << what << " node " << i;
+    ASSERT_EQ(gn.children, wn.children) << what << " node " << i;
+    ASSERT_EQ(gn.new_members, wn.new_members) << what << " node " << i;
+    ASSERT_EQ(gn.size, wn.size) << what << " node " << i;
+  }
+  EXPECT_EQ(got.roots, want.roots) << what;
+  EXPECT_EQ(got.node_of_clique, want.node_of_clique) << what;
+}
+
+// The per-member sweep over every level: a repair of an empty forest whose
+// touched-level bound covers all levels keeps no prefix.
+template <typename Space>
+NucleusHierarchy PerMemberHierarchy(const Space& space,
+                                    const std::vector<Degree>& kappa,
+                                    std::span<const std::uint8_t> live) {
+  return RepairHierarchy(space, NucleusHierarchy{}, kappa, live,
+                         std::numeric_limits<Degree>::max());
+}
+
+// Both BuildHierarchy overloads against the per-member reference.
+template <typename Space>
+void ExpectOnePassMatchesPerMember(const Space& space,
+                                   const std::string& what) {
+  const std::vector<std::uint8_t> live = space.LiveRFlags();
+  const PeelResult peel = PeelDecomposition(space);
+  ASSERT_TRUE(peel.status.ok()) << what;
+  const NucleusHierarchy want = PerMemberHierarchy(space, peel.kappa, live);
+  ExpectSameForest(BuildHierarchy(space, peel.kappa, live), want,
+                   what + " kappa overload");
+  ExpectSameForest(BuildHierarchy(space, peel), want,
+                   what + " peel overload");
+}
+
+std::vector<Graph> EquivalenceGraphs() {
+  std::vector<Graph> graphs;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    graphs.push_back(GenerateErdosRenyi(40, 260, seed));
+    graphs.push_back(GeneratePlantedPartition(3, 15, 0.6, 0.05, seed));
+  }
+  graphs.push_back(TwoCliquesWithBridge());
+  graphs.push_back(GenerateNestedCliques(3, 4, 4, 7));
+  graphs.push_back(BuildGraphFromEdges(6, {{0, 1}, {2, 3}}));  // isolated
+  return graphs;
+}
+
+TEST(OnePassHierarchy, MatchesPerMemberSweepOnRandomGraphs) {
+  const auto graphs = EquivalenceGraphs();
+  for (std::size_t i = 0; i < graphs.size(); ++i) {
+    const Graph& g = graphs[i];
+    const std::string tag = "graph " + std::to_string(i);
+    const EdgeIndex edges(g);
+    const TriangleIndex tris(g);
+    ExpectOnePassMatchesPerMember(CoreSpace(g), tag + " core");
+    ExpectOnePassMatchesPerMember(TrussSpace(g, edges), tag + " truss");
+    ExpectOnePassMatchesPerMember(Nucleus34Space(g, tris), tag + " n34");
+  }
+}
+
+TEST(OnePassHierarchy, ArenaSpaceTakesThePerMemberFeeder) {
+  // CsrSpace has no one-pass method, so BuildHierarchy over an arena runs
+  // the per-member sweep over contiguous co-member scans.
+  const Graph g = GeneratePlantedPartition(3, 15, 0.6, 0.05, 9);
+  const EdgeIndex edges(g);
+  const TriangleIndex tris(g);
+  const TrussSpace truss(g, edges);
+  const Nucleus34Space n34(g, tris);
+  const auto truss_kappa = PeelDecomposition(truss).kappa;
+  const auto n34_kappa = PeelDecomposition(n34).kappa;
+  ExpectSameForest(BuildHierarchy(CsrSpace<TrussSpace>(truss), truss_kappa),
+                   BuildHierarchy(truss, truss_kappa), "truss arena");
+  ExpectSameForest(BuildHierarchy(CsrSpace<Nucleus34Space>(n34), n34_kappa),
+                   BuildHierarchy(n34, n34_kappa), "n34 arena");
+}
+
+// Random edge toggles over a fixed pair pool: removals tombstone ids,
+// insertions of pairs absent at build time append overlay ids, and
+// re-insertions revive tombstones.
+void ToggleRandomPairs(NucleusSession* session, Rng* rng, int ops) {
+  const std::size_t n = session->graph().NumVertices();
+  auto batch = session->BeginUpdates();
+  int applied = 0;
+  while (applied < ops) {
+    const VertexId u = static_cast<VertexId>(rng->UniformInt(0, n - 1));
+    const VertexId v = static_cast<VertexId>(rng->UniformInt(0, n - 1));
+    if (u == v) continue;
+    if (batch.InsertEdge(u, v) || batch.RemoveEdge(u, v)) ++applied;
+  }
+  ASSERT_TRUE(batch.Commit().ok());
+}
+
+TEST(OnePassHierarchy, MatchesPerMemberSweepOnPatchedIndices) {
+  const Graph initial = GeneratePlantedPartition(3, 14, 0.55, 0.05, 13);
+  NucleusSession session(initial);
+  session.Edges();
+  session.Triangles();
+  Rng rng(77);
+  for (int round = 0; round < 12; ++round) {
+    ToggleRandomPairs(&session, &rng, 3);
+    const std::string tag = "round " + std::to_string(round);
+    const Graph& g = session.graph();
+    const EdgeIndex& edges = session.Edges();
+    const TriangleIndex& tris = session.Triangles();
+    ExpectOnePassMatchesPerMember(CoreSpace(g), tag + " core");
+    ExpectOnePassMatchesPerMember(TrussSpace(g, edges), tag + " truss");
+    ExpectOnePassMatchesPerMember(Nucleus34Space(g, tris), tag + " n34");
+  }
+  // The commits left both kinds of patched ids behind.
+  const EdgeIndex& edges = session.Edges();
+  const TriangleIndex& tris = session.Triangles();
+  EXPECT_LT(edges.NumLiveEdges(), edges.NumEdges());
+  EXPECT_LT(tris.NumLiveTriangles(), tris.NumTriangles());
+  EXPECT_GT(edges.NumEdges(), EdgeIndex(initial).NumEdges());
+  EXPECT_GT(tris.NumTriangles(), TriangleIndex(initial).NumTriangles());
+}
+
+TEST(OnePassHierarchy, ArenaBackedRepairMatchesRebuildAfterCommits) {
+  const Graph initial = GeneratePlantedPartition(3, 14, 0.55, 0.05, 21);
+  NucleusSession session(initial);
+  DecomposeOptions opt;
+  opt.method = Method::kAnd;
+  opt.materialize = Materialize::kOn;  // arenas, patched by every commit
+  const DecompositionKind kinds[] = {DecompositionKind::kTruss,
+                                     DecompositionKind::kNucleus34};
+  for (auto kind : kinds) {
+    ASSERT_TRUE(session.Decompose(kind, opt).ok());
+    ASSERT_TRUE(session.Hierarchy(kind, opt).ok());
+  }
+  const SessionStats warm = session.stats();
+  Rng rng(5);
+  constexpr int kRounds = 15;
+  for (int round = 0; round < kRounds; ++round) {
+    ToggleRandomPairs(&session, &rng, 2);
+    const SessionStateStats state = session.Stats();
+    for (auto kind : kinds) {
+      const int k = static_cast<int>(kind);
+      const std::string tag = "round " + std::to_string(round) +
+                              (kind == DecompositionKind::kTruss ? " truss"
+                                                                 : " n34");
+      ASSERT_GT(state.arena_bytes[k], 0u) << tag;  // repaired over the arena
+      const auto kappa = session.Decompose(kind, opt);
+      ASSERT_TRUE(kappa.ok() && kappa->served_from_cache) << tag;
+      const auto repaired = session.Hierarchy(kind, opt);
+      ASSERT_TRUE(repaired.ok()) << tag;
+      const auto rebuilt = session.HierarchyFor(kind, kappa->kappa);
+      ASSERT_TRUE(rebuilt.ok()) << tag;
+      ExpectSameForest(**repaired, *rebuilt, tag);
+    }
+  }
+  const SessionStats after = session.stats();
+  EXPECT_EQ(after.hierarchy_builds, warm.hierarchy_builds);
+  EXPECT_EQ(after.truss_arena_builds, warm.truss_arena_builds);
+  EXPECT_EQ(after.nucleus34_arena_builds, warm.nucleus34_arena_builds);
+  // Truss and (3,4), plus the core hierarchy is never cached here.
+  EXPECT_EQ(after.hierarchy_repairs - warm.hierarchy_repairs,
+            std::uint64_t{2} * kRounds);
+}
+
+// ---------------------------------------------------------------------------
+// Cancellation: a stopped build reports aborted (the forest is discarded),
+// and a cancelled session Hierarchy() returns kCancelled and caches
+// nothing.
+
+TEST(HierarchyCancel, CancelledBuildAborts) {
+  const Graph g = GeneratePlantedPartition(3, 15, 0.6, 0.05, 3);
+  const EdgeIndex edges(g);
+  const TriangleIndex tris(g);
+  CancelToken token;
+  token.RequestCancel();
+  const RunControl ctl(&token, Deadline::Infinite());
+  const auto check = [&](const auto& space, const char* what) {
+    const PeelResult peel = PeelDecomposition(space);
+    EXPECT_TRUE(BuildHierarchy(space, peel.kappa, {}, ctl).aborted) << what;
+    EXPECT_TRUE(BuildHierarchy(space, peel, ctl).aborted) << what;
+  };
+  check(CoreSpace(g), "core");
+  check(TrussSpace(g, edges), "truss");
+  check(Nucleus34Space(g, tris), "n34");
+}
+
+TEST(HierarchyCancel, RacingCancelEitherAbortsOrMatches) {
+  // A canceller fires at a random point of the build: during the
+  // enumeration, during the bucketed unions, or after the build finished.
+  // Whichever it hits, the forest is either flagged aborted or complete.
+  const Graph g = GeneratePlantedPartition(4, 30, 0.5, 0.02, 11);
+  const TriangleIndex tris(g);
+  const Nucleus34Space space(g, tris);
+  const auto kappa = PeelDecomposition(space).kappa;
+  const NucleusHierarchy want = BuildHierarchy(space, kappa);
+  Rng rng(3);
+  int aborted = 0;
+  for (int trial = 0; trial < 24; ++trial) {
+    CancelToken token;
+    const auto delay =
+        std::chrono::microseconds(rng.UniformInt(0, 4000));
+    std::thread canceller([&] {
+      std::this_thread::sleep_for(delay);
+      token.RequestCancel();
+    });
+    const NucleusHierarchy got = BuildHierarchy(
+        space, kappa, {}, RunControl(&token, Deadline::Infinite()));
+    canceller.join();
+    if (got.aborted) {
+      ++aborted;
+    } else {
+      ExpectSameForest(got, want, "trial " + std::to_string(trial));
+    }
+  }
+  RecordProperty("aborted_trials", aborted);
+}
+
+TEST(HierarchyCancel, CancelledSessionHierarchyCachesNothing) {
+  const Graph g = GeneratePlantedPartition(3, 15, 0.6, 0.05, 4);
+  const DecompositionKind kinds[] = {DecompositionKind::kCore,
+                                     DecompositionKind::kTruss,
+                                     DecompositionKind::kNucleus34};
+  NucleusSession session(g);
+  for (auto kind : kinds) {
+    // kappa cached first, so the cancelled call reaches the build itself
+    // (cache hits are served even to a stopped request).
+    const auto kappa = session.Decompose(kind);
+    ASSERT_TRUE(kappa.ok());
+    const SessionStats before = session.stats();
+    CancelToken token;
+    token.RequestCancel();
+    DecomposeOptions cancelled;
+    cancelled.cancel_token = &token;
+    const auto h = session.Hierarchy(kind, cancelled);
+    ASSERT_FALSE(h.ok());
+    EXPECT_EQ(h.status().code(), StatusCode::kCancelled);
+    EXPECT_EQ(session.stats().hierarchy_builds, before.hierarchy_builds);
+    EXPECT_FALSE(session.Stats().hierarchy_cached[static_cast<int>(kind)]);
+    // The retry builds the full forest.
+    const auto retry = session.Hierarchy(kind);
+    ASSERT_TRUE(retry.ok());
+    const auto want = session.HierarchyFor(kind, kappa->kappa);
+    ASSERT_TRUE(want.ok());
+    ExpectSameForest(**retry, *want, "retry");
+  }
 }
 
 }  // namespace

@@ -584,5 +584,34 @@ TEST(HttpServerTest, ShutdownWithInflightWorkIsClean) {
   core.reset();
 }
 
+TEST(ServerCore, SessionCountersAboveInt32RoundTrip) {
+  // A long-lived server's counters outgrow 32 bits; the stats body (shared
+  // by /api/stats and /metricz) must carry them without wrapping.
+  SessionStateStats s;
+  const std::uint64_t past_int32 = std::uint64_t{INT32_MAX} + 1;
+  const std::uint64_t past_uint32 = (std::uint64_t{1} << 33) + 5;
+  s.counters.commits = past_int32;
+  s.counters.decompose_calls = past_uint32;
+  s.counters.hierarchy_repairs = past_uint32 + 1;
+  JsonWriter w;
+  w.BeginObject();
+  WriteSessionStats(w, s);
+  w.EndObject();
+  EXPECT_NE(w.str().find("\"commits\":2147483648"), std::string::npos);
+  EXPECT_NE(w.str().find("\"decompose_calls\":8589934597"),
+            std::string::npos);
+  const auto doc = JsonValue::Parse(w.str());
+  ASSERT_TRUE(doc.ok());
+  const JsonValue* counters = doc->Find("counters");
+  ASSERT_NE(counters, nullptr);
+  const auto commits = counters->GetInt("commits");
+  const auto calls = counters->GetInt("decompose_calls");
+  const auto repairs = counters->GetInt("hierarchy_repairs");
+  ASSERT_TRUE(commits.ok() && calls.ok() && repairs.ok());
+  EXPECT_EQ(static_cast<std::uint64_t>(*commits), past_int32);
+  EXPECT_EQ(static_cast<std::uint64_t>(*calls), past_uint32);
+  EXPECT_EQ(static_cast<std::uint64_t>(*repairs), past_uint32 + 1);
+}
+
 }  // namespace
 }  // namespace nucleus

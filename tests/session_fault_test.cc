@@ -59,7 +59,7 @@ struct Observables {
   std::vector<VertexId> neighbors;
   std::vector<std::vector<Degree>> kappa;       // per kind
   std::vector<std::vector<int>> node_of_clique;  // per kind
-  int commits = 0;
+  std::uint64_t commits = 0;
 
   bool operator==(const Observables&) const = default;
 };

@@ -270,5 +270,110 @@ TEST(EdgeTriangleCsr, ApplyDeltaPatchesEntriesInPlace) {
   EXPECT_EQ(csr.TriangleCount(edges.EdgeIdOf(0, 2)), 2u);
 }
 
+// ---------------------------------------------------------------------------
+// Localized lookup: TriangleIdOf searches only the lowest vertex's pristine
+// range. Every answer must agree with a linear scan of the id space.
+
+// Live id of the sorted triple by linear scan, or kInvalidTriangle.
+TriangleId LinearIdOf(const TriangleIndex& tris, std::array<VertexId, 3> t) {
+  std::sort(t.begin(), t.end());
+  for (TriangleId id = 0; id < tris.NumTriangles(); ++id) {
+    if (tris.Vertices(id) == t) {
+      return tris.IsLive(id) ? id : kInvalidTriangle;
+    }
+  }
+  return kInvalidTriangle;
+}
+
+// Every vertex triple of a small graph, in every argument order, against
+// the linear scan: present triangles resolve to their id, all other
+// triples (including those with vertices past the graph) to invalid.
+void ExpectLookupsMatchLinearScan(const TriangleIndex& tris, VertexId n) {
+  for (VertexId u = 0; u < n; ++u) {
+    for (VertexId v = u + 1; v < n; ++v) {
+      for (VertexId w = v + 1; w < n; ++w) {
+        const TriangleId want = LinearIdOf(tris, {u, v, w});
+        ASSERT_EQ(tris.TriangleIdOf(u, v, w), want)
+            << u << " " << v << " " << w;
+        ASSERT_EQ(tris.TriangleIdOf(w, u, v), want);
+        ASSERT_EQ(tris.TriangleIdOf(v, w, u), want);
+        ASSERT_EQ(tris.TriangleIdOf(w, v, u), want);
+      }
+    }
+  }
+}
+
+TEST(TriangleIndex, LocalizedLookupMatchesLinearScan) {
+  for (std::uint64_t seed = 0; seed < 4; ++seed) {
+    const Graph g = GenerateErdosRenyi(22, 110, seed);
+    const TriangleIndex tris(g, 2);
+    // Every triple of the index resolves to its own id.
+    for (TriangleId t = 0; t < tris.NumTriangles(); ++t) {
+      const auto& v = tris.Vertices(t);
+      ASSERT_EQ(tris.TriangleIdOf(v[0], v[1], v[2]), t);
+    }
+    // Two vertices past the graph: lowest vertices beyond the offsets.
+    ExpectLookupsMatchLinearScan(tris, 24);
+  }
+}
+
+TEST(TriangleIndex, LowestVertexPastBuildTimeVerticesResolvesThroughOverlay) {
+  // Built over 5 vertices; the patch brings triples whose lowest vertex is
+  // at or past 5 (the id space grew past the build-time vertex count), and
+  // one that mixes a pristine lowest vertex with new vertices.
+  const Graph g = GenerateComplete(5);
+  TriangleIndex tris(g);
+  const std::size_t base = tris.NumTriangles();
+  const std::vector<std::array<VertexId, 3>> born = {
+      {5, 6, 7}, {6, 8, 9}, {0, 5, 6}, {4, 7, 9}};
+  const auto ids = tris.ApplyDelta({}, born);
+  ASSERT_EQ(ids.size(), born.size());
+  for (std::size_t i = 0; i < born.size(); ++i) {
+    EXPECT_EQ(ids[i], base + i);
+    EXPECT_EQ(tris.TriangleIdOf(born[i][2], born[i][0], born[i][1]), ids[i]);
+  }
+  EXPECT_EQ(tris.TriangleIdOf(5, 6, 8), kInvalidTriangle);
+  EXPECT_EQ(tris.TriangleIdOf(7, 8, 9), kInvalidTriangle);
+  ExpectLookupsMatchLinearScan(tris, 11);
+  // Tombstone two patched-in triples, then revive one: same id comes back.
+  const std::vector<std::array<VertexId, 3>> dead = {born[0], born[2]};
+  tris.ApplyDelta(dead, {});
+  EXPECT_EQ(tris.TriangleIdOf(5, 6, 7), kInvalidTriangle);
+  EXPECT_EQ(tris.TriangleIdOf(0, 5, 6), kInvalidTriangle);
+  ExpectLookupsMatchLinearScan(tris, 11);
+  const std::vector<std::array<VertexId, 3>> revive = {born[0]};
+  EXPECT_EQ(tris.ApplyDelta({}, revive), std::vector<TriangleId>{ids[0]});
+  EXPECT_EQ(tris.TriangleIdOf(7, 6, 5), ids[0]);
+  ExpectLookupsMatchLinearScan(tris, 11);
+}
+
+TEST(TriangleIndex, TombstonedAndRevivedPristineTriplesLookUp) {
+  const Graph g = GenerateErdosRenyi(20, 90, 7);
+  TriangleIndex tris(g);
+  ASSERT_GE(tris.NumTriangles(), 6u);
+  // Tombstone every third pristine triple, including the first and last
+  // of the id range (range boundaries of the per-vertex offsets).
+  std::vector<std::array<VertexId, 3>> dead;
+  for (TriangleId t = 0; t < tris.NumTriangles(); t += 3) {
+    dead.push_back(tris.Vertices(t));
+  }
+  dead.push_back(
+      tris.Vertices(static_cast<TriangleId>(tris.NumTriangles() - 1)));
+  std::sort(dead.begin(), dead.end());
+  dead.erase(std::unique(dead.begin(), dead.end()), dead.end());
+  tris.ApplyDelta(dead, {});
+  for (const auto& t : dead) {
+    EXPECT_EQ(tris.TriangleIdOf(t[0], t[1], t[2]), kInvalidTriangle);
+  }
+  ExpectLookupsMatchLinearScan(tris, 20);
+  // Revived pristine triples keep their original (sorted-order) ids.
+  const auto ids = tris.ApplyDelta({}, dead);
+  for (std::size_t i = 0; i < dead.size(); ++i) {
+    EXPECT_EQ(tris.Vertices(ids[i]), dead[i]);
+    EXPECT_EQ(tris.TriangleIdOf(dead[i][1], dead[i][2], dead[i][0]), ids[i]);
+  }
+  ExpectLookupsMatchLinearScan(tris, 20);
+}
+
 }  // namespace
 }  // namespace nucleus

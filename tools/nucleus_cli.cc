@@ -26,6 +26,7 @@
 //
 // Input is a SNAP-style edge list ("u v" per line, '#' comments).
 #include <algorithm>
+#include <cinttypes>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -197,8 +198,9 @@ int CmdDecompose(const Args& args) {
   const SessionStats stats = session.stats();
   std::fprintf(stderr,
                "decomposed %zu r-cliques, %d iterations, exact=%d "
-               "(session: %d edge-index, %d triangle-index, %d arena "
-               "builds across %d requests, %d cache hits)\n",
+               "(session: %" PRIu64 " edge-index, %" PRIu64
+               " triangle-index, %" PRIu64 " arena builds across %" PRIu64
+               " requests, %" PRIu64 " cache hits)\n",
                last->num_r_cliques, last->iterations, last->exact ? 1 : 0,
                stats.edge_index_builds, stats.triangle_index_builds,
                stats.core_arena_builds + stats.truss_arena_builds +
