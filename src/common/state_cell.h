@@ -11,8 +11,10 @@
 // triangle-index build proceeds while (1,2) readers stream through their
 // own cells untouched.
 //
-// The installed value is pinned (unique_ptr), so references returned by
-// Get/GetOrBuild stay valid until Reset(). Reset()/Mutable() are for
+// The installed value is pinned (unique_ptr), so pointers returned by
+// TryGet/GetOrTryBuild stay valid until Reset(). There is one build entry
+// point, the fallible GetOrTryBuild: every builder can fail (fault point,
+// cancellation), and a failure installs nothing. Reset()/Mutable() are for
 // single-writer phases only (the session calls them holding its
 // session-wide mutex exclusively, with no concurrent readers).
 #ifndef NUCLEUS_COMMON_STATE_CELL_H_
@@ -41,29 +43,11 @@ class StateCell {
     return value_.get();
   }
 
-  /// Returns the installed value, building it via `build()` (which must
-  /// return a T) if absent. At most one builder runs; concurrent callers
-  /// of the same cell block on the build mutex until the value exists,
-  /// while other cells proceed independently.
-  template <typename BuildFn>
-  const T& GetOrBuild(BuildFn&& build) {
-    {
-      std::shared_lock<std::shared_mutex> lk(mu_);
-      if (value_) return *value_;
-    }
-    std::lock_guard<std::mutex> build_lk(build_mu_);
-    {
-      std::shared_lock<std::shared_mutex> lk(mu_);
-      if (value_) return *value_;  // lost the race: another caller built it
-    }
-    auto built = std::make_unique<T>(build());
-    std::unique_lock<std::shared_mutex> lk(mu_);
-    value_ = std::move(built);
-    return *value_;
-  }
-
-  /// Like GetOrBuild, but the builder is fallible: it returns StatusOr<T>.
-  /// On failure (cancellation, deadline, injected fault, over-budget)
+  /// Returns the installed value, building it via `build()` if absent.
+  /// At most one builder runs at a time; concurrent callers of the same
+  /// cell block on the build mutex, while other cells proceed
+  /// independently. The builder is fallible: it returns StatusOr<T>. On
+  /// failure (cancellation, deadline, injected fault, over-budget)
   /// NOTHING installs — the cell stays bitwise as-if-never-attempted, the
   /// failure Status propagates to this caller only, and the next caller
   /// re-runs the builder from scratch. Waiters that were blocked on the

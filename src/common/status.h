@@ -1,7 +1,6 @@
 // Status / StatusOr<T> — the exception-free error channel of the session
 // boundary (core/session.h). Library internals that detect malformed input
-// report a Status instead of throwing; the legacy free-function facade
-// converts failures back into exceptions for source compatibility.
+// report a Status instead of throwing.
 #ifndef NUCLEUS_COMMON_STATUS_H_
 #define NUCLEUS_COMMON_STATUS_H_
 

@@ -3,7 +3,11 @@
 #include <algorithm>
 #include <array>
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 #include <string>
+#include <tuple>
+#include <type_traits>
 #include <utility>
 
 #include "src/common/fault_injection.h"
@@ -119,7 +123,189 @@ DecomposeOptions WithRemainingControl(const DecomposeOptions& options,
   return run;
 }
 
+// The kind table: everything that differs between the three (r,s)
+// instances. The rest of the session is written once over it, through
+// VisitKind (the kind a caller named) and ForEachKind (all three).
+//
+// Per kind: its space and the index the space is made from (the (1,2)
+// space needs only the graph, so its "index" is the Graph itself), the
+// maintainer that carries its kappa through a commit, its SessionStats
+// arena-build and kappa-seed counters, its names (canonical first), the
+// noun of its ids in query errors, and whether a commit can tombstone its
+// ids. kS is the s of the (r,s) pair: r-cliques per s-clique.
+struct CoreKind {
+  static constexpr DecompositionKind kKind = DecompositionKind::kCore;
+  static constexpr std::size_t kS = 2;
+  using Space = CoreSpace;
+  using Index = Graph;
+  using Maintainer = DynamicCoreMaintainer;
+  static constexpr const char* kNames[] = {"core", "(1,2)", "12"};
+  static constexpr const char* kIdNoun = "vertex";
+  static constexpr bool kTombstones = false;
+  static constexpr std::uint64_t SessionStats::*kArenaBuilds =
+      &SessionStats::core_arena_builds;
+  static constexpr std::uint64_t SessionStats::*kKappaSeeds = nullptr;
+
+  static Space MakeSpace(const Graph& g, const Index&) { return Space(g); }
+  static QueryEstimate Estimate(const Graph& g, const Index&,
+                                std::span<const CliqueId> ids,
+                                const QueryOptions& options) {
+    return EstimateCoreNumbers(g, ids, options);
+  }
+  // The maintainer's kappa of one live id, and of every id in the order a
+  // fresh index would number them.
+  static Degree KappaOf(const Maintainer& m, const Index&, CliqueId v) {
+    return m.CoreNumbersView()[v];
+  }
+  static std::vector<Degree> KappaInIndexOrder(const Maintainer& m) {
+    return m.CoreNumbersView();
+  }
+};
+
+struct TrussKind {
+  static constexpr DecompositionKind kKind = DecompositionKind::kTruss;
+  static constexpr std::size_t kS = 3;
+  using Space = TrussSpace;
+  using Index = EdgeIndex;
+  using Maintainer = DynamicTrussMaintainer;
+  static constexpr const char* kNames[] = {"truss", "(2,3)", "23"};
+  static constexpr const char* kIdNoun = "edge";
+  static constexpr bool kTombstones = true;
+  static constexpr std::uint64_t SessionStats::*kArenaBuilds =
+      &SessionStats::truss_arena_builds;
+  static constexpr std::uint64_t SessionStats::*kKappaSeeds =
+      &SessionStats::truss_kappa_seeds;
+
+  static Space MakeSpace(const Graph& g, const Index& edges) {
+    return Space(g, edges);
+  }
+  static QueryEstimate Estimate(const Graph& g, const Index& edges,
+                                std::span<const CliqueId> ids,
+                                const QueryOptions& options) {
+    return EstimateTrussNumbers(g, edges, ids, options);
+  }
+  static Degree KappaOf(const Maintainer& m, const Index& edges, CliqueId e) {
+    const auto [u, v] = edges.Endpoints(e);
+    return m.TrussNumberOf(u, v);
+  }
+  static std::vector<Degree> KappaInIndexOrder(const Maintainer& m) {
+    return m.TrussNumbersInIndexOrder();
+  }
+};
+
+struct Nucleus34Kind {
+  static constexpr DecompositionKind kKind = DecompositionKind::kNucleus34;
+  static constexpr std::size_t kS = 4;
+  using Space = Nucleus34Space;
+  using Index = TriangleIndex;
+  using Maintainer = DynamicNucleus34Maintainer;
+  static constexpr const char* kNames[] = {"nucleus34", "nucleus", "(3,4)",
+                                           "34"};
+  static constexpr const char* kIdNoun = "triangle";
+  static constexpr bool kTombstones = true;
+  static constexpr std::uint64_t SessionStats::*kArenaBuilds =
+      &SessionStats::nucleus34_arena_builds;
+  static constexpr std::uint64_t SessionStats::*kKappaSeeds =
+      &SessionStats::nucleus34_kappa_seeds;
+
+  static Space MakeSpace(const Graph& g, const Index& tris) {
+    return Space(g, tris);
+  }
+  static QueryEstimate Estimate(const Graph& g, const Index& tris,
+                                std::span<const CliqueId> ids,
+                                const QueryOptions& options) {
+    return EstimateNucleus34Numbers(g, tris, ids, options);
+  }
+  static Degree KappaOf(const Maintainer& m, const Index& tris, CliqueId t) {
+    const auto& tri = tris.Vertices(t);
+    return m.Nucleus34NumberOf(tri[0], tri[1], tri[2]);
+  }
+  static std::vector<Degree> KappaInIndexOrder(const Maintainer& m) {
+    return m.Nucleus34NumbersInIndexOrder();
+  }
+};
+
+template <typename Fn>
+decltype(auto) VisitKind(DecompositionKind kind, Fn&& fn) {
+  switch (kind) {
+    case DecompositionKind::kCore:
+      return fn(CoreKind{});
+    case DecompositionKind::kTruss:
+      return fn(TrussKind{});
+    case DecompositionKind::kNucleus34:
+      return fn(Nucleus34Kind{});
+  }
+  std::abort();  // not a DecompositionKind enumerator
+}
+
+template <typename Fn>
+void ForEachKind(Fn&& fn) {
+  fn(CoreKind{});
+  fn(TrussKind{});
+  fn(Nucleus34Kind{});
+}
+
+// Position of the kind in per-kind arrays (SessionStateStats, the commit's
+// staged kappa and hierarchies).
+template <typename K>
+constexpr std::size_t Slot(K) {
+  return static_cast<std::size_t>(K::kKind);
+}
+
+// One kind's share of a commit's delta, in that kind's id space: the
+// s-cliques that die and are born, as their member r-clique ids, and the
+// r-clique ids that die with them.
+template <std::size_t S>
+struct KindDelta {
+  std::vector<std::array<CliqueId, S>> dead, born;
+  std::vector<CliqueId> dead_ids;
+};
+
+template <std::size_t S>
+std::vector<std::vector<CliqueId>> MembersOf(
+    const std::vector<std::array<CliqueId, S>>& s_cliques) {
+  std::vector<std::vector<CliqueId>> out;
+  out.reserve(s_cliques.size());
+  for (const auto& members : s_cliques) {
+    out.emplace_back(members.begin(), members.end());
+  }
+  return out;
+}
+
+// The reference-returning accessors build with an unstoppable control, so
+// only an armed fault point can fail them; a reference cannot carry the
+// Status, so the process stops with its message.
+template <typename T>
+const T& ValueOrDie(const StatusOr<const T*>& r) {
+  if (!r.ok()) {
+    std::fprintf(stderr, "NucleusSession: index build failed: %s\n",
+                 r.status().ToString().c_str());
+    std::abort();
+  }
+  return **r;
+}
+
 }  // namespace
+
+const char* KindName(DecompositionKind kind) {
+  return VisitKind(kind, [](auto k) { return decltype(k)::kNames[0]; });
+}
+
+StatusOr<DecompositionKind> ParseKindName(const std::string& name) {
+  std::optional<DecompositionKind> found;
+  std::string want;
+  ForEachKind([&](auto k) {
+    using K = decltype(k);
+    for (const char* alias : K::kNames) {
+      if (name == alias) found = K::kKind;
+    }
+    want += want.empty() ? "" : " | ";
+    want += K::kNames[0];
+  });
+  if (found.has_value()) return *found;
+  return Status::InvalidArgument("unknown kind '" + name + "' (want " +
+                                 want + ")");
+}
 
 NucleusSession::NucleusSession(Graph&& graph)
     : storage_(std::move(graph)), graph_(&storage_) {}
@@ -131,38 +317,19 @@ void NucleusSession::BumpStat(std::uint64_t SessionStats::* field) {
   ++(stats_.*field);
 }
 
-const EdgeIndex& NucleusSession::EdgesShared(double* build_seconds) {
-  return edge_index_.GetOrBuild([&] {
-    Timer t;
-    EdgeIndex idx(*graph_);
-    if (build_seconds != nullptr) *build_seconds += t.Seconds();
-    BumpStat(&SessionStats::edge_index_builds);
-    return idx;
-  });
+NucleusSession::ResultCell& NucleusSession::Results(DecompositionKind kind) {
+  return VisitKind(kind, [this](auto k) -> ResultCell& { return State(k); });
 }
 
-const TriangleIndex& NucleusSession::TrianglesShared(int threads,
-                                                     double* build_seconds) {
-  return triangle_index_.GetOrBuild([&] {
-    Timer t;
-    TriangleIndex idx(*graph_, std::max(threads, 1));
-    if (build_seconds != nullptr) *build_seconds += t.Seconds();
-    BumpStat(&SessionStats::triangle_index_builds);
-    return idx;
-  });
+template <>
+StatusOr<const Graph*> NucleusSession::IndexShared<Graph>(int, double*,
+                                                          RunControl) {
+  return graph_;
 }
 
-const EdgeTriangleCsr& NucleusSession::EdgeTrianglesShared(int threads) {
-  return edge_triangle_csr_.GetOrBuild([&] {
-    const EdgeIndex& edges = EdgesShared(nullptr);
-    const TriangleIndex& tris = TrianglesShared(threads, nullptr);
-    BumpStat(&SessionStats::edge_triangle_csr_builds);
-    return EdgeTriangleCsr(edges, tris, std::max(threads, 1));
-  });
-}
-
-StatusOr<const EdgeIndex*> NucleusSession::TryEdgesShared(
-    double* build_seconds) {
+template <>
+StatusOr<const EdgeIndex*> NucleusSession::IndexShared<EdgeIndex>(
+    int, double* build_seconds, RunControl) {
   return edge_index_.GetOrTryBuild([&]() -> StatusOr<EdgeIndex> {
     NUCLEUS_FAULT_POINT("edge_index_build");
     Timer t;
@@ -173,7 +340,8 @@ StatusOr<const EdgeIndex*> NucleusSession::TryEdgesShared(
   });
 }
 
-StatusOr<const TriangleIndex*> NucleusSession::TryTrianglesShared(
+template <>
+StatusOr<const TriangleIndex*> NucleusSession::IndexShared<TriangleIndex>(
     int threads, double* build_seconds, RunControl ctl) {
   return triangle_index_.GetOrTryBuild([&]() -> StatusOr<TriangleIndex> {
     NUCLEUS_FAULT_POINT("triangle_index_build");
@@ -186,14 +354,16 @@ StatusOr<const TriangleIndex*> NucleusSession::TryTrianglesShared(
   });
 }
 
-StatusOr<const EdgeTriangleCsr*> NucleusSession::TryEdgeTrianglesShared(
-    int threads, RunControl ctl) {
+template <>
+StatusOr<const EdgeTriangleCsr*>
+NucleusSession::IndexShared<EdgeTriangleCsr>(int threads, double*,
+                                             RunControl ctl) {
   return edge_triangle_csr_.GetOrTryBuild(
       [&]() -> StatusOr<EdgeTriangleCsr> {
         NUCLEUS_FAULT_POINT("edge_triangle_csr_build");
-        auto edges = TryEdgesShared(nullptr);
+        auto edges = IndexShared<EdgeIndex>(threads, nullptr, ctl);
         if (!edges.ok()) return edges.status();
-        auto tris = TryTrianglesShared(threads, nullptr, ctl);
+        auto tris = IndexShared<TriangleIndex>(threads, nullptr, ctl);
         if (!tris.ok()) return tris.status();
         EdgeTriangleCsr csr(**edges, **tris, std::max(threads, 1), ctl);
         if (csr.aborted()) return ctl.StopStatus();
@@ -204,49 +374,37 @@ StatusOr<const EdgeTriangleCsr*> NucleusSession::TryEdgeTrianglesShared(
 
 const EdgeIndex& NucleusSession::Edges() {
   std::shared_lock<std::shared_mutex> lk(session_mu_);
-  return EdgesShared(nullptr);
+  return ValueOrDie(IndexShared<EdgeIndex>(1, nullptr, RunControl()));
 }
 
 const TriangleIndex& NucleusSession::Triangles(int threads) {
   std::shared_lock<std::shared_mutex> lk(session_mu_);
-  return TrianglesShared(threads, nullptr);
+  return ValueOrDie(IndexShared<TriangleIndex>(threads, nullptr, RunControl()));
 }
 
 const EdgeTriangleCsr& NucleusSession::EdgeTriangles(int threads) {
   std::shared_lock<std::shared_mutex> lk(session_mu_);
-  return EdgeTrianglesShared(threads);
-}
-
-std::size_t NucleusSession::NumRCliquesShared(DecompositionKind kind) {
-  switch (kind) {
-    case DecompositionKind::kCore:
-      return graph_->NumVertices();
-    case DecompositionKind::kTruss: {
-      // The id-space size of the patched index when one exists (it may
-      // exceed the live edge count by tombstones), else the edge count a
-      // fresh index would cover.
-      const EdgeIndex* edges = edge_index_.TryGet();
-      return edges != nullptr ? edges->NumEdges() : graph_->NumEdges();
-    }
-    case DecompositionKind::kNucleus34:
-      return TrianglesShared(1, nullptr).NumTriangles();
-  }
-  return 0;
+  return ValueOrDie(
+      IndexShared<EdgeTriangleCsr>(threads, nullptr, RunControl()));
 }
 
 std::size_t NucleusSession::NumRCliques(DecompositionKind kind) {
   std::shared_lock<std::shared_mutex> lk(session_mu_);
-  return NumRCliquesShared(kind);
+  return VisitKind(kind, [&](auto k) {
+    using K = decltype(k);
+    const auto& index = ValueOrDie(
+        IndexShared<typename K::Index>(1, nullptr, RunControl()));
+    return K::MakeSpace(*graph_, index).NumRCliques();
+  });
 }
 
 std::optional<StatusOr<DecomposeResult>> NucleusSession::TryServeFromCache(
-    DecompositionKind kind, const DecomposeOptions& options) {
+    ResultCell& cell, const DecomposeOptions& options) {
   // Traced runs bypass the caches — the caller wants the iteration
   // record, not just the fixed point.
   if (!options.use_result_cache || options.trace != nullptr) {
     return std::nullopt;
   }
-  ResultCell& cell = results_[static_cast<int>(kind)];
   std::lock_guard<std::mutex> lk(cell.mu);
   DecomposeResult out;
   if (cell.kappa.has_value()) {
@@ -280,10 +438,9 @@ std::optional<StatusOr<DecomposeResult>> NucleusSession::TryServeFromCache(
   return StatusOr<DecomposeResult>(std::move(out));
 }
 
-void NucleusSession::StoreResult(DecompositionKind kind,
+void NucleusSession::StoreResult(ResultCell& cell,
                                  const DecomposeOptions& options,
                                  const DecomposeResult& result) {
-  ResultCell& cell = results_[static_cast<int>(kind)];
   std::lock_guard<std::mutex> lk(cell.mu);
   if (result.exact) {
     // kappa is unique: first exact result wins, repeats are identical.
@@ -294,28 +451,28 @@ void NucleusSession::StoreResult(DecompositionKind kind,
   }
 }
 
-template <typename Space, typename MakeSpace>
-StatusOr<DecomposeResult> NucleusSession::DecomposeWithSpace(
-    DecompositionKind kind, const DecomposeOptions& options,
-    ArenaCell<Space>* cell, std::uint64_t SessionStats::* arena_counter,
-    MakeSpace&& make_space, double index_seconds, RunControl ctl) {
+template <typename K>
+StatusOr<DecomposeResult> NucleusSession::DecomposeKind(
+    K kind, const DecomposeOptions& options, const typename K::Index& index,
+    double index_seconds, RunControl ctl) {
+  using Space = typename K::Space;
+  KindState<Space>* cell = &State(kind);
   const Space* base = nullptr;
   const CsrSpace<Space>* arena = nullptr;
   const CompressedCsrSpace<Space>* compressed = nullptr;
   double arena_seconds = 0.0;
   std::vector<Degree> initial;
   {
-    std::lock_guard<std::mutex> lk(cell->mu);
+    std::lock_guard<std::mutex> lk(cell->arena_mu);
     // Pin the on-the-fly space: it is both the direct engine input and the
     // base the arena keeps a pointer into.
     if (!cell->space) {
-      cell->space = std::make_unique<Space>(make_space());
+      cell->space = std::make_unique<Space>(K::MakeSpace(*graph_, index));
     }
     base = cell->space.get();
 
     // Validate kGiven orders here so the engines never throw on session
-    // input (the legacy free functions translate this Status back into the
-    // std::invalid_argument they used to raise).
+    // input.
     if (options.method == Method::kAnd &&
         options.order == AndOrder::kGiven) {
       Status s = internal::ValidateGivenOrder(base->NumRCliques(),
@@ -371,7 +528,7 @@ StatusOr<DecomposeResult> NucleusSession::DecomposeWithSpace(
           arena_seconds = t.Seconds();
           cell->arena = std::move(built);
           cell->failed_budget = 0;
-          BumpStat(arena_counter);
+          BumpStat(K::kArenaBuilds);
         } else if (ctl.CanStop() && ctl.ShouldStop()) {
           // Cancelled / overall deadline exceeded mid-build: the partial
           // counting degrees are garbage, and neither the failed-budget
@@ -404,7 +561,7 @@ StatusOr<DecomposeResult> NucleusSession::DecomposeWithSpace(
           arena_seconds += t.Seconds();
           cell->compressed = std::move(built);
           cell->failed_budget_compressed = 0;
-          BumpStat(arena_counter);
+          BumpStat(K::kArenaBuilds);
           BumpStat(&SessionStats::compressed_builds);
         } else if (ctl.CanStop() && ctl.ShouldStop()) {
           return ctl.StopStatus();
@@ -447,7 +604,7 @@ StatusOr<DecomposeResult> NucleusSession::DecomposeWithSpace(
   if (!out.ok()) return out.status();
   out->index_seconds = index_seconds;
   out->arena_seconds = arena_seconds;
-  StoreResult(kind, options, *out);
+  StoreResult(*cell, options, *out);
   return out;
 }
 
@@ -455,37 +612,18 @@ StatusOr<DecomposeResult> NucleusSession::DecomposeShared(
     DecompositionKind kind, const DecomposeOptions& options,
     RunControl ctl) {
   BumpStat(&SessionStats::decompose_calls);
-  // Cache hits are served even past a deadline — answering from memory is
-  // the one thing a bounded request can always afford.
-  if (auto hit = TryServeFromCache(kind, options)) {
-    return std::move(*hit);
-  }
-  switch (kind) {
-    case DecompositionKind::kCore:
-      return DecomposeWithSpace(
-          kind, options, &core_, &SessionStats::core_arena_builds,
-          [this] { return CoreSpace(*graph_); }, /*index_seconds=*/0.0,
-          ctl);
-    case DecompositionKind::kTruss: {
-      double index_seconds = 0.0;
-      auto edges = TryEdgesShared(&index_seconds);
-      if (!edges.ok()) return edges.status();
-      return DecomposeWithSpace(
-          kind, options, &truss_, &SessionStats::truss_arena_builds,
-          [this, &edges] { return TrussSpace(*graph_, **edges); },
-          index_seconds, ctl);
+  return VisitKind(kind, [&](auto k) -> StatusOr<DecomposeResult> {
+    // Cache hits are served even past a deadline — answering from memory
+    // is the one thing a bounded request can always afford.
+    if (auto hit = TryServeFromCache(State(k), options)) {
+      return std::move(*hit);
     }
-    case DecompositionKind::kNucleus34: {
-      double index_seconds = 0.0;
-      auto tris = TryTrianglesShared(options.threads, &index_seconds, ctl);
-      if (!tris.ok()) return tris.status();
-      return DecomposeWithSpace(
-          kind, options, &nucleus34_, &SessionStats::nucleus34_arena_builds,
-          [this, &tris] { return Nucleus34Space(*graph_, **tris); },
-          index_seconds, ctl);
-    }
-  }
-  return Status::Internal("unknown DecompositionKind");
+    double index_seconds = 0.0;
+    auto index = IndexShared<typename decltype(k)::Index>(
+        options.threads, &index_seconds, ctl);
+    if (!index.ok()) return index.status();
+    return DecomposeKind(k, options, **index, index_seconds, ctl);
+  });
 }
 
 StatusOr<DecomposeResult> NucleusSession::Decompose(
@@ -503,7 +641,7 @@ StatusOr<const NucleusHierarchy*> NucleusSession::Hierarchy(
   if (Status s = ValidateCommonOptions(options); !s.ok()) return s;
   const RunControl ctl = options.MakeControl();
   std::shared_lock<std::shared_mutex> lk(session_mu_);
-  ResultCell& cell = results_[static_cast<int>(kind)];
+  ResultCell& cell = Results(kind);
   {
     std::lock_guard<std::mutex> clk(cell.mu);
     if (cell.hierarchy) {
@@ -523,10 +661,10 @@ StatusOr<const NucleusHierarchy*> NucleusSession::Hierarchy(
   // A fresh peel run hands back its level partition; feed it straight
   // into the union-find sweep (no kappa re-bucketing). Cache hits and
   // local-method runs carry no levels and take the kappa path.
-  StatusOr<NucleusHierarchy> h =
-      !r->peel_levels.empty() && r->kappa.size() == NumRCliquesShared(kind)
-          ? HierarchyFromPeelShared(kind, std::move(*r), ctl)
-          : HierarchyForShared(kind, r->kappa, ctl);
+  PeelResult peel;
+  peel.order = std::move(r->peel_order);
+  peel.levels = std::move(r->peel_levels);
+  StatusOr<NucleusHierarchy> h = HierarchyShared(kind, r->kappa, &peel, ctl);
   if (!h.ok()) return h.status();
 
   std::lock_guard<std::mutex> clk(cell.mu);
@@ -538,65 +676,37 @@ StatusOr<const NucleusHierarchy*> NucleusSession::Hierarchy(
   return static_cast<const NucleusHierarchy*>(cell.hierarchy.get());
 }
 
-StatusOr<NucleusHierarchy> NucleusSession::HierarchyFromPeelShared(
-    DecompositionKind kind, DecomposeResult&& result, RunControl ctl) {
-  PeelResult peel;
-  peel.order = std::move(result.peel_order);
-  peel.levels = std::move(result.peel_levels);
-  NucleusHierarchy h;
-  switch (kind) {
-    case DecompositionKind::kCore:
-      h = BuildHierarchy(CoreSpace(*graph_), peel, ctl);
-      break;
-    case DecompositionKind::kTruss:
-      h = BuildHierarchy(TrussSpace(*graph_, EdgesShared(nullptr)), peel,
-                         ctl);
-      break;
-    case DecompositionKind::kNucleus34:
-      h = BuildHierarchy(Nucleus34Space(*graph_, TrianglesShared(1, nullptr)),
-                         peel, ctl);
-      break;
-  }
-  if (h.aborted) return ctl.StopStatus();
-  return h;
-}
-
-StatusOr<NucleusHierarchy> NucleusSession::HierarchyForShared(
-    DecompositionKind kind, std::span<const Degree> kappa, RunControl ctl) {
-  const std::size_t n = NumRCliquesShared(kind);
-  if (kappa.size() != n) {
-    return Status::InvalidArgument(
-        "kappa has " + std::to_string(kappa.size()) + " entries, expected " +
-        std::to_string(n) + " for this kind");
-  }
-  const std::vector<Degree> k(kappa.begin(), kappa.end());
-  NucleusHierarchy h;
-  switch (kind) {
-    case DecompositionKind::kCore:
-      h = BuildHierarchy(CoreSpace(*graph_), k, {}, ctl);
-      break;
-    case DecompositionKind::kTruss: {
-      // Mirrors BuildTrussHierarchy: a patched index keeps tombstoned ids
-      // in the id space; exclude them so removed edges do not surface as
-      // phantom singleton nuclei. Same for (3,4) below.
-      const TrussSpace space(*graph_, EdgesShared(nullptr));
-      h = BuildHierarchy(space, k, space.LiveRFlags(), ctl);
-      break;
+StatusOr<NucleusHierarchy> NucleusSession::HierarchyShared(
+    DecompositionKind kind, const std::vector<Degree>& kappa,
+    PeelResult* peel, RunControl ctl) {
+  return VisitKind(kind, [&](auto k) -> StatusOr<NucleusHierarchy> {
+    using K = decltype(k);
+    auto index = IndexShared<typename K::Index>(1, nullptr, ctl);
+    if (!index.ok()) return index.status();
+    const typename K::Space space = K::MakeSpace(*graph_, **index);
+    if (kappa.size() != space.NumRCliques()) {
+      return Status::InvalidArgument(
+          "kappa has " + std::to_string(kappa.size()) +
+          " entries, expected " + std::to_string(space.NumRCliques()) +
+          " for this kind");
     }
-    case DecompositionKind::kNucleus34: {
-      const Nucleus34Space space(*graph_, TrianglesShared(1, nullptr));
-      h = BuildHierarchy(space, k, space.LiveRFlags(), ctl);
-      break;
-    }
-  }
-  if (h.aborted) return ctl.StopStatus();
-  return h;
+    // A patched index keeps tombstoned ids in the id space; the live
+    // flags exclude them so removed r-cliques do not surface as phantom
+    // singleton nuclei (the (1,2) space has none: its flags are empty).
+    NucleusHierarchy h =
+        peel != nullptr && !peel->levels.empty()
+            ? BuildHierarchy(space, *peel, ctl)
+            : BuildHierarchy(space, kappa, space.LiveRFlags(), ctl);
+    if (h.aborted) return ctl.StopStatus();
+    return h;
+  });
 }
 
 StatusOr<NucleusHierarchy> NucleusSession::HierarchyFor(
     DecompositionKind kind, std::span<const Degree> kappa) {
   std::shared_lock<std::shared_mutex> lk(session_mu_);
-  return HierarchyForShared(kind, kappa, RunControl());
+  return HierarchyShared(kind, std::vector<Degree>(kappa.begin(), kappa.end()),
+                         nullptr, RunControl());
 }
 
 StatusOr<QueryEstimate> NucleusSession::EstimateQueries(
@@ -614,56 +724,27 @@ StatusOr<QueryEstimate> NucleusSession::EstimateQueries(
   }
   std::shared_lock<std::shared_mutex> lk(session_mu_);
   BumpStat(&SessionStats::query_calls);
-  // CliqueId aliases VertexId/EdgeId/TriangleId, so the spans re-view the
-  // same memory with the kind-specific meaning.
-  switch (kind) {
-    case DecompositionKind::kCore: {
-      for (CliqueId id : ids) {
-        if (id >= graph_->NumVertices()) {
-          return Status::InvalidArgument("query vertex id out of range: " +
-                                         std::to_string(id));
-        }
+  return VisitKind(kind, [&](auto k) -> StatusOr<QueryEstimate> {
+    using K = decltype(k);
+    auto index = IndexShared<typename K::Index>(options.threads, nullptr,
+                                                RunControl());
+    if (!index.ok()) return index.status();
+    const typename K::Space space = K::MakeSpace(*graph_, **index);
+    const std::string noun = K::kIdNoun;
+    for (CliqueId id : ids) {
+      if (id >= space.NumRCliques()) {
+        return Status::InvalidArgument("query " + noun +
+                                       " id out of range: " +
+                                       std::to_string(id));
       }
-      return EstimateCoreNumbers(
-          *graph_, std::span<const VertexId>(ids.data(), ids.size()),
-          options);
-    }
-    case DecompositionKind::kTruss: {
-      const EdgeIndex& edges = EdgesShared(nullptr);
-      for (CliqueId id : ids) {
-        if (id >= edges.NumEdges()) {
-          return Status::InvalidArgument("query edge id out of range: " +
-                                         std::to_string(id));
-        }
-        if (!edges.IsLive(id)) {
-          return Status::InvalidArgument(
-              "query edge id names a removed (tombstoned) edge: " +
-              std::to_string(id));
-        }
+      if (K::kTombstones && !space.IsLiveR(id)) {
+        return Status::InvalidArgument(
+            "query " + noun + " id names a removed (tombstoned) " + noun +
+            ": " + std::to_string(id));
       }
-      return EstimateTrussNumbers(
-          *graph_, edges, std::span<const EdgeId>(ids.data(), ids.size()),
-          options);
     }
-    case DecompositionKind::kNucleus34: {
-      const TriangleIndex& tris = TrianglesShared(options.threads, nullptr);
-      for (CliqueId id : ids) {
-        if (id >= tris.NumTriangles()) {
-          return Status::InvalidArgument("query triangle id out of range: " +
-                                         std::to_string(id));
-        }
-        if (!tris.IsLive(id)) {
-          return Status::InvalidArgument(
-              "query triangle id names a removed (tombstoned) triangle: " +
-              std::to_string(id));
-        }
-      }
-      return EstimateNucleus34Numbers(
-          *graph_, tris,
-          std::span<const TriangleId>(ids.data(), ids.size()), options);
-    }
-  }
-  return Status::Internal("unknown DecompositionKind");
+    return K::Estimate(*graph_, **index, ids, options);
+  });
 }
 
 bool NucleusSession::UpdateBatch::InsertEdge(VertexId u, VertexId v) {
@@ -724,42 +805,33 @@ Status NucleusSession::UpdateBatch::Commit(RunControl ctl) {
 
 NucleusSession::UpdateBatch NucleusSession::BeginUpdates() {
   std::shared_lock<std::shared_mutex> lk(session_mu_);
-  std::optional<std::vector<Degree>> core_kappa;
-  {
-    std::lock_guard<std::mutex> clk(results_[0].mu);
-    core_kappa = results_[0].kappa;
-  }
-  std::optional<std::vector<Degree>> truss_kappa;
-  {
-    std::lock_guard<std::mutex> clk(results_[1].mu);
-    truss_kappa = results_[1].kappa;
-  }
-  std::optional<std::vector<Degree>> n34_kappa;
-  {
-    std::lock_guard<std::mutex> clk(results_[2].mu);
-    n34_kappa = results_[2].kappa;
-  }
+  std::optional<std::vector<Degree>> kappa[3];
+  ForEachKind([&](auto k) {
+    const ResultCell& cell = State(k);
+    std::lock_guard<std::mutex> clk(cell.mu);
+    kappa[Slot(k)] = cell.kappa;
+  });
   // Truss / (3,4) maintenance piggybacks on the cached exact kappa — a
   // cold internal decomposition on every BeginUpdates would defeat the
   // point for callers that never ask for those kinds.
   std::optional<DynamicTrussMaintainer> truss_maintainer;
-  if (truss_kappa.has_value()) {
+  if (const auto& truss = kappa[Slot(TrussKind{})]; truss.has_value()) {
     const EdgeIndex* edges = edge_index_.TryGet();
-    if (edges != nullptr && truss_kappa->size() == edges->NumEdges()) {
-      truss_maintainer.emplace(*graph_, *edges, *truss_kappa);
+    if (edges != nullptr && truss->size() == edges->NumEdges()) {
+      truss_maintainer.emplace(*graph_, *edges, *truss);
     }
   }
   std::optional<DynamicNucleus34Maintainer> n34_maintainer;
-  if (n34_kappa.has_value()) {
+  if (const auto& n34 = kappa[Slot(Nucleus34Kind{})]; n34.has_value()) {
     const TriangleIndex* tris = triangle_index_.TryGet();
-    if (tris != nullptr && n34_kappa->size() == tris->NumTriangles()) {
-      n34_maintainer.emplace(*graph_, *tris, *n34_kappa);
+    if (tris != nullptr && n34->size() == tris->NumTriangles()) {
+      n34_maintainer.emplace(*graph_, *tris, *n34);
     }
   }
+  auto& core = kappa[Slot(CoreKind{})];
   DynamicCoreMaintainer core_maintainer =
-      core_kappa.has_value()
-          ? DynamicCoreMaintainer(*graph_, std::move(*core_kappa))
-          : DynamicCoreMaintainer(*graph_);
+      core.has_value() ? DynamicCoreMaintainer(*graph_, std::move(*core))
+                       : DynamicCoreMaintainer(*graph_);
   return UpdateBatch(this, std::move(core_maintainer),
                      std::move(truss_maintainer), std::move(n34_maintainer),
                      commit_epoch_);
@@ -794,26 +866,44 @@ Status NucleusSession::PropagateDelta(const EdgeDelta& delta,
                                       Graph&& new_graph,
                                       const UpdateBatch& batch,
                                       RunControl ctl) {
-  const DynamicTrussMaintainer* truss_maintainer =
-      batch.truss_maintainer_ ? &*batch.truss_maintainer_ : nullptr;
-  const DynamicNucleus34Maintainer* n34_maintainer =
-      batch.n34_maintainer_ ? &*batch.n34_maintainer_ : nullptr;
+  const std::tuple<const DynamicCoreMaintainer*,
+                   const DynamicTrussMaintainer*,
+                   const DynamicNucleus34Maintainer*>
+      maintainers{&batch.maintainer_,
+                  batch.truss_maintainer_ ? &*batch.truss_maintainer_
+                                          : nullptr,
+                  batch.n34_maintainer_ ? &*batch.n34_maintainer_ : nullptr};
+  // The kind's maintainer, or null when the batch does not carry one.
+  const auto maintainer_of = [&](auto k) {
+    return std::get<const typename decltype(k)::Maintainer*>(maintainers);
+  };
   EdgeIndex* eidx = edge_index_.Mutable();
   TriangleIndex* tidx = triangle_index_.Mutable();
   EdgeTriangleCsr* etc = edge_triangle_csr_.Mutable();
-  const bool patch_core_arena = core_.arena.has_value();
-  const bool patch_truss_arena = truss_.arena.has_value();
-  const bool patch_n34_arena = nucleus34_.arena.has_value();
+  // The kind's (patched) id space, or null when the session holds none.
+  const auto index_of = [&](auto k) -> const typename decltype(k)::Index* {
+    using Index = typename decltype(k)::Index;
+    if constexpr (std::is_same_v<Index, Graph>) {
+      return graph_;
+    } else if constexpr (std::is_same_v<Index, EdgeIndex>) {
+      return eidx;
+    } else {
+      return tidx;
+    }
+  };
+  const KindState<TrussSpace>& truss = State(TrussKind{});
+  const KindState<Nucleus34Space>& n34 = State(Nucleus34Kind{});
+  const bool patch_truss_arena = truss.arena.has_value();
+  const bool patch_n34_arena = n34.arena.has_value();
   assert(!patch_truss_arena || eidx != nullptr);
   assert(!patch_n34_arena || tidx != nullptr);
   assert(etc == nullptr || (eidx != nullptr && tidx != nullptr));
   const bool need_tri_edges =
       eidx != nullptr && (etc != nullptr || patch_truss_arena ||
-                          !truss_.fly_degrees.empty());
+                          !truss.fly_degrees.empty());
   const bool need_tri_delta = tidx != nullptr || need_tri_edges;
   const bool need_4c_delta =
-      tidx != nullptr &&
-      (patch_n34_arena || !nucleus34_.fly_degrees.empty());
+      tidx != nullptr && (patch_n34_arena || !n34.fly_degrees.empty());
   const bool need_tri_ids =
       tidx != nullptr && (etc != nullptr || need_4c_delta);
 
@@ -833,45 +923,46 @@ Status NucleusSession::PropagateDelta(const EdgeDelta& delta,
     fdelta = ComputeFourCliqueDelta(*graph_, new_graph, delta, ctl);
     if (fdelta.aborted) return ctl.StopStatus();
   }
-  std::vector<EdgeId> removed_edge_ids;
+  // Each kind's share of the delta, in its own id space.
+  std::tuple<KindDelta<CoreKind::kS>, KindDelta<TrussKind::kS>,
+             KindDelta<Nucleus34Kind::kS>>
+      deltas;
+  auto& [core_delta, truss_delta, n34_delta] = deltas;
   if (eidx != nullptr) {
-    removed_edge_ids.reserve(delta.removed.size());
+    truss_delta.dead_ids.reserve(delta.removed.size());
     for (const auto& [u, v] : delta.removed) {
-      removed_edge_ids.push_back(eidx->EdgeIdOf(u, v));
+      truss_delta.dead_ids.push_back(eidx->EdgeIdOf(u, v));
     }
   }
   const auto tri_edge_ids = [](const EdgeIndex& idx,
                                const std::array<VertexId, 3>& t) {
-    return std::array<EdgeId, 3>{idx.EdgeIdOf(t[0], t[1]),
-                                 idx.EdgeIdOf(t[0], t[2]),
-                                 idx.EdgeIdOf(t[1], t[2])};
+    return std::array<CliqueId, 3>{idx.EdgeIdOf(t[0], t[1]),
+                                   idx.EdgeIdOf(t[0], t[2]),
+                                   idx.EdgeIdOf(t[1], t[2])};
   };
   const auto quad_tri_ids = [](const TriangleIndex& idx,
                                const std::array<VertexId, 4>& q) {
-    return std::array<TriangleId, 4>{idx.TriangleIdOf(q[0], q[1], q[2]),
-                                     idx.TriangleIdOf(q[0], q[1], q[3]),
-                                     idx.TriangleIdOf(q[0], q[2], q[3]),
-                                     idx.TriangleIdOf(q[1], q[2], q[3])};
+    return std::array<CliqueId, 4>{idx.TriangleIdOf(q[0], q[1], q[2]),
+                                   idx.TriangleIdOf(q[0], q[1], q[3]),
+                                   idx.TriangleIdOf(q[0], q[2], q[3]),
+                                   idx.TriangleIdOf(q[1], q[2], q[3])};
   };
-  std::vector<std::array<EdgeId, 3>> dead_tri_edges;
   if (need_tri_edges) {
-    dead_tri_edges.reserve(tdelta.dead.size());
+    truss_delta.dead.reserve(tdelta.dead.size());
     for (const auto& t : tdelta.dead) {
-      dead_tri_edges.push_back(tri_edge_ids(*eidx, t));
+      truss_delta.dead.push_back(tri_edge_ids(*eidx, t));
     }
   }
-  std::vector<TriangleId> dead_tri_ids;
   if (need_tri_ids) {
-    dead_tri_ids.reserve(tdelta.dead.size());
+    n34_delta.dead_ids.reserve(tdelta.dead.size());
     for (const auto& t : tdelta.dead) {
-      dead_tri_ids.push_back(tidx->TriangleIdOf(t[0], t[1], t[2]));
+      n34_delta.dead_ids.push_back(tidx->TriangleIdOf(t[0], t[1], t[2]));
     }
   }
-  std::vector<std::array<TriangleId, 4>> dead_4c_tris;
   if (need_4c_delta) {
-    dead_4c_tris.reserve(fdelta.dead.size());
+    n34_delta.dead.reserve(fdelta.dead.size());
     for (const auto& q : fdelta.dead) {
-      dead_4c_tris.push_back(quad_tri_ids(*tidx, q));
+      n34_delta.dead.push_back(quad_tri_ids(*tidx, q));
     }
   }
   // Everything the install phase consumes is now staged; the last chance
@@ -886,23 +977,22 @@ Status NucleusSession::PropagateDelta(const EdgeDelta& delta,
   // Stage 0: capture cached hierarchies (and the old kappa they pair
   // with) for in-place repair. Repair needs this commit's exact NEW kappa
   // too, so a kind qualifies only when its maintainer ran this batch (the
-  // core maintainer always does); unqualified hierarchies die with the
-  // result-cell reset in stage 6. (Runs after the fallible stage 1: the
-  // moves out of the result cells are themselves cache mutations.)
+  // core maintainer always does) over a patched id space; unqualified
+  // hierarchies die with the result-cell reset in stage 6. (Runs after
+  // the fallible stage 1: the moves out of the result cells are
+  // themselves cache mutations.)
   std::unique_ptr<NucleusHierarchy> old_hierarchy[3];
   std::vector<Degree> old_kappa[3];
-  const bool can_repair[3] = {
-      true, truss_maintainer != nullptr && eidx != nullptr,
-      n34_maintainer != nullptr && tidx != nullptr};
-  for (int kind = 0; kind < 3; ++kind) {
-    ResultCell& cell = results_[kind];
+  ForEachKind([&](auto k) {
+    ResultCell& cell = State(k);
     std::lock_guard<std::mutex> clk(cell.mu);
-    if (!can_repair[kind] || !cell.hierarchy || !cell.kappa.has_value()) {
-      continue;
+    if (maintainer_of(k) == nullptr || index_of(k) == nullptr ||
+        !cell.hierarchy || !cell.kappa.has_value()) {
+      return;
     }
-    old_hierarchy[kind] = std::move(cell.hierarchy);
-    old_kappa[kind] = std::move(*cell.kappa);
-  }
+    old_hierarchy[Slot(k)] = std::move(cell.hierarchy);
+    old_kappa[Slot(k)] = std::move(*cell.kappa);
+  });
 
   // Stage 2: install the new graph (everything old-graph-dependent is
   // done). The owned storage's address is stable, so space objects keep
@@ -910,7 +1000,9 @@ Status NucleusSession::PropagateDelta(const EdgeDelta& delta,
   storage_ = std::move(new_graph);
   graph_ = &storage_;
 
-  // Stage 3: patch the indices in place (graph-independent structures).
+  // Stage 3: patch the indices in place (graph-independent structures)
+  // and resolve the born s-cliques' member ids against them. The (1,2)
+  // s-cliques are the delta's edges themselves.
   if (eidx != nullptr) {
     eidx->ApplyDelta(delta.removed, delta.inserted);
   }
@@ -918,27 +1010,27 @@ Status NucleusSession::PropagateDelta(const EdgeDelta& delta,
   if (tidx != nullptr) {
     born_tri_ids = tidx->ApplyDelta(tdelta.dead, tdelta.born);
   }
-  std::vector<std::array<EdgeId, 3>> born_tri_edges;
   if (need_tri_edges) {
-    born_tri_edges.reserve(tdelta.born.size());
+    truss_delta.born.reserve(tdelta.born.size());
     for (const auto& t : tdelta.born) {
-      born_tri_edges.push_back(tri_edge_ids(*eidx, t));
+      truss_delta.born.push_back(tri_edge_ids(*eidx, t));
     }
   }
-  std::vector<std::array<TriangleId, 4>> born_4c_tris;
   if (need_4c_delta) {
-    born_4c_tris.reserve(fdelta.born.size());
+    n34_delta.born.reserve(fdelta.born.size());
     for (const auto& q : fdelta.born) {
-      born_4c_tris.push_back(quad_tri_ids(*tidx, q));
+      n34_delta.born.push_back(quad_tri_ids(*tidx, q));
     }
   }
+  for (const auto& [u, v] : delta.removed) core_delta.dead.push_back({u, v});
+  for (const auto& [u, v] : delta.inserted) core_delta.born.push_back({u, v});
 
   // Stage 4: patch the per-edge triangle CSR.
   if (etc != nullptr) {
     const auto to_patches =
         [&](const std::vector<std::array<VertexId, 3>>& triples,
             const std::vector<TriangleId>& ids,
-            const std::vector<std::array<EdgeId, 3>>& edges) {
+            const std::vector<std::array<CliqueId, 3>>& edges) {
           std::vector<EdgeTriangleCsr::TrianglePatch> patches;
           patches.reserve(triples.size());
           for (std::size_t i = 0; i < triples.size(); ++i) {
@@ -950,156 +1042,93 @@ Status NucleusSession::PropagateDelta(const EdgeDelta& delta,
           }
           return patches;
         };
-    etc->ApplyDelta(to_patches(tdelta.dead, dead_tri_ids, dead_tri_edges),
-                    to_patches(tdelta.born, born_tri_ids, born_tri_edges),
-                    removed_edge_ids, eidx->NumEdges());
+    etc->ApplyDelta(
+        to_patches(tdelta.dead, n34_delta.dead_ids, truss_delta.dead),
+        to_patches(tdelta.born, born_tri_ids, truss_delta.born),
+        truss_delta.dead_ids, eidx->NumEdges());
   }
 
-  // Stage 5: patch or drop the arena cells. Space objects are re-seated
+  // Stage 5: patch or drop each kind's arenas. Space objects are re-seated
   // in place (assignment keeps their address, which the arena pins).
   // Compressed arenas are IMMUTABLE (a varint byte stream has no slack for
   // sentinels), so they are dropped here and rebuilt lazily by the next
   // decompose of the kind; only uncompressed arenas are patched in place.
-  const auto drop_compressed = [&](auto& cell) {
-    if (cell.compressed.has_value()) {
-      cell.compressed.reset();
+  // The fly-space S-degrees are patched by the same delta when the kind's
+  // id space is held (its share of the delta was then staged above).
+  ForEachKind([&](auto k) {
+    using K = decltype(k);
+    KindState<typename K::Space>& st = State(k);
+    const KindDelta<K::kS>& d = std::get<KindDelta<K::kS>>(deltas);
+    const typename K::Index* index = index_of(k);
+    if (st.compressed.has_value()) {
+      st.compressed.reset();
       BumpStat(&SessionStats::compressed_drops);
     }
-    cell.failed_budget_compressed = 0;
-  };
-  drop_compressed(core_);
-  drop_compressed(truss_);
-  drop_compressed(nucleus34_);
-  const auto members_of = [](const auto& id_arrays) {
-    std::vector<std::vector<CliqueId>> out;
-    out.reserve(id_arrays.size());
-    for (const auto& arr : id_arrays) {
-      out.emplace_back(arr.begin(), arr.end());
+    st.failed_budget = 0;
+    st.failed_budget_compressed = 0;
+    if (st.arena.has_value()) {
+      const typename K::Space space = K::MakeSpace(*graph_, *index);
+      st.arena->ApplyPatch(MembersOf(d.dead), MembersOf(d.born), d.dead_ids,
+                           space.NumRCliques());
+      *st.space = space;
+    } else {
+      st.space.reset();
     }
-    return out;
-  };
-  if (patch_core_arena) {
-    std::vector<std::vector<CliqueId>> dead_s, born_s;
-    dead_s.reserve(delta.removed.size());
-    for (const auto& [u, v] : delta.removed) {
-      dead_s.push_back({u, v});
+    if (!st.fly_degrees.empty() && index != nullptr) {
+      // Born r-cliques start at d_s = 0 plus their born s-cliques; dead
+      // ones drop to exactly 0 (all their s-cliques died).
+      st.fly_degrees.resize(K::MakeSpace(*graph_, *index).NumRCliques(), 0);
+      for (const auto& members : d.dead) {
+        for (CliqueId r : members) --st.fly_degrees[r];
+      }
+      for (const auto& members : d.born) {
+        for (CliqueId r : members) ++st.fly_degrees[r];
+      }
+    } else {
+      st.fly_degrees.clear();
     }
-    born_s.reserve(delta.inserted.size());
-    for (const auto& [u, v] : delta.inserted) {
-      born_s.push_back({u, v});
-    }
-    core_.arena->ApplyPatch(dead_s, born_s, {}, graph_->NumVertices());
-    *core_.space = CoreSpace(*graph_);
-  } else {
-    core_.space.reset();
-  }
-  core_.fly_degrees.clear();  // O(n) to recount: not worth patching
-  core_.failed_budget = 0;
-
-  if (patch_truss_arena) {
-    truss_.arena->ApplyPatch(members_of(dead_tri_edges),
-                             members_of(born_tri_edges), removed_edge_ids,
-                             eidx->NumEdges());
-    *truss_.space = TrussSpace(*graph_, *eidx);
-  } else {
-    truss_.space.reset();
-  }
-  if (!truss_.fly_degrees.empty() && eidx != nullptr) {
-    truss_.fly_degrees.resize(eidx->NumEdges(), 0);
-    for (const auto& edges3 : dead_tri_edges) {
-      for (EdgeId e : edges3) --truss_.fly_degrees[e];
-    }
-    for (const auto& edges3 : born_tri_edges) {
-      for (EdgeId e : edges3) ++truss_.fly_degrees[e];
-    }
-  } else {
-    truss_.fly_degrees.clear();
-  }
-  truss_.failed_budget = 0;
-
-  if (patch_n34_arena) {
-    nucleus34_.arena->ApplyPatch(members_of(dead_4c_tris),
-                                 members_of(born_4c_tris), dead_tri_ids,
-                                 tidx->NumTriangles());
-    *nucleus34_.space = Nucleus34Space(*graph_, *tidx);
-  } else {
-    nucleus34_.space.reset();
-  }
-  if (!nucleus34_.fly_degrees.empty() && tidx != nullptr &&
-      need_4c_delta) {
-    nucleus34_.fly_degrees.resize(tidx->NumTriangles(), 0);
-    for (const auto& tris4 : dead_4c_tris) {
-      for (TriangleId t : tris4) --nucleus34_.fly_degrees[t];
-    }
-    for (const auto& tris4 : born_4c_tris) {
-      for (TriangleId t : tris4) ++nucleus34_.fly_degrees[t];
-    }
-    // Patched-in triangles start at their counted d_4 = 0 plus born K4s;
-    // dead triangles decremented to exactly 0 (all their K4s died).
-  } else {
-    nucleus34_.fly_degrees.clear();
-  }
-  nucleus34_.failed_budget = 0;
+  });
 
   // Stage 6: result caches. Every kind whose maintainer ran is re-seeded
   // with the exact post-delta kappa — (1,2) always (the core maintainer's
   // locally-repaired numbers ARE the exact kappa of the mutated graph),
   // (2,3)/(3,4) when the batch carried those maintainers; tau caches
   // restart cold, and hierarchies are repaired in stage 6.5 below.
-  for (ResultCell& cell : results_) {
+  std::vector<Degree> new_kappa[3];
+  ForEachKind([&](auto k) {
+    using K = decltype(k);
+    const typename K::Maintainer* m = maintainer_of(k);
+    std::vector<Degree>& kappa = new_kappa[Slot(k)];
+    if (m != nullptr) {
+      if (const typename K::Index* index = index_of(k); index != nullptr) {
+        const typename K::Space space = K::MakeSpace(*graph_, *index);
+        kappa.assign(space.NumRCliques(), 0);
+        for (CliqueId id = 0; id < kappa.size(); ++id) {
+          if (space.IsLiveR(id)) kappa[id] = K::KappaOf(*m, *index, id);
+        }
+      } else {
+        // No index to patch: a later call builds a fresh index whose
+        // lexicographic id order is exactly the maintainer's export order.
+        kappa = K::KappaInIndexOrder(*m);
+      }
+    }
+    ResultCell& cell = State(k);
     std::lock_guard<std::mutex> clk(cell.mu);
-    cell.Reset();
-  }
-  const std::vector<Degree>& new_core_kappa =
-      batch.maintainer_.CoreNumbersView();
-  {
-    std::lock_guard<std::mutex> clk(results_[0].mu);
-    results_[0].kappa = new_core_kappa;
-  }
-  std::vector<Degree> new_truss_kappa;
-  if (truss_maintainer != nullptr) {
-    if (eidx != nullptr) {
-      new_truss_kappa.assign(eidx->NumEdges(), 0);
-      for (EdgeId e = 0; e < eidx->NumEdges(); ++e) {
-        if (!eidx->IsLive(e)) continue;
-        const auto [u, v] = eidx->Endpoints(e);
-        new_truss_kappa[e] = truss_maintainer->TrussNumberOf(u, v);
-      }
-    } else {
-      // No index to patch: a later (2,3) call builds a fresh index whose
-      // lexicographic id order is exactly the maintainer's export order.
-      new_truss_kappa = truss_maintainer->TrussNumbersInIndexOrder();
+    cell.ResetResults();
+    if (m != nullptr) {
+      cell.kappa = kappa;
+      if constexpr (K::kKappaSeeds != nullptr) BumpStat(K::kKappaSeeds);
     }
-    std::lock_guard<std::mutex> clk(results_[1].mu);
-    results_[1].kappa = new_truss_kappa;
-    BumpStat(&SessionStats::truss_kappa_seeds);
-  }
-  std::vector<Degree> new_n34_kappa;
-  if (n34_maintainer != nullptr) {
-    if (tidx != nullptr) {
-      new_n34_kappa.assign(tidx->NumTriangles(), 0);
-      for (TriangleId t = 0; t < tidx->NumTriangles(); ++t) {
-        if (!tidx->IsLive(t)) continue;
-        const auto& tri = tidx->Vertices(t);
-        new_n34_kappa[t] =
-            n34_maintainer->Nucleus34NumberOf(tri[0], tri[1], tri[2]);
-      }
-    } else {
-      new_n34_kappa = n34_maintainer->Nucleus34NumbersInIndexOrder();
-    }
-    std::lock_guard<std::mutex> clk(results_[2].mu);
-    results_[2].kappa = new_n34_kappa;
-    BumpStat(&SessionStats::nucleus34_kappa_seeds);
-  }
+  });
 
   // Stage 6.5: localized hierarchy repair. The touched-level bound is the
   // largest level any kappa change / born id / dead id reaches (born ids
-  // enter the old-vs-new diff as 0 -> kappa, dead ids as kappa -> 0); for
-  // the core space — whose r-cliques never die or get born — the delta's
-  // s-cliques (the edges themselves) can also re-link equal-kappa
-  // components with no kappa change, so their min-member levels join the
-  // bound. Everything above the bound is spliced from the old forest;
-  // everything at or below is re-swept from the new kappa.
+  // enter the old-vs-new diff as 0 -> kappa, dead ids as kappa -> 0).
+  // Everything above the bound is spliced from the old forest; everything
+  // at or below is re-swept from the new kappa. The repair re-sweeps per
+  // member, so an uncompressed arena (already patched in stage 5) serves
+  // it by contiguous scans instead of per-member intersections and id
+  // lookups; the fly space otherwise.
   const auto touched_level = [](const std::vector<Degree>& before,
                                 const std::vector<Degree>& after) {
     Degree level = 0;
@@ -1111,113 +1140,86 @@ Status NucleusSession::PropagateDelta(const EdgeDelta& delta,
     }
     return level;
   };
-  const auto install_repaired = [&](int kind, NucleusHierarchy&& repaired) {
-    std::lock_guard<std::mutex> clk(results_[kind].mu);
-    results_[kind].hierarchy =
-        std::make_unique<NucleusHierarchy>(std::move(repaired));
+  ForEachKind([&](auto k) {
+    using K = decltype(k);
+    const std::size_t slot = Slot(k);
+    if (!old_hierarchy[slot]) return;
+    const std::vector<Degree>& kappa = new_kappa[slot];
+    Degree level = touched_level(old_kappa[slot], kappa);
+    if constexpr (!K::kTombstones) {
+      // No r-clique of this space dies or is born, so a delta s-clique can
+      // re-link equal-kappa components with no kappa change at all: its
+      // min-member level (new kappa if born, old kappa if dead) joins the
+      // bound.
+      const auto min_level = [](const auto& members,
+                                const std::vector<Degree>& by_id) {
+        Degree m = by_id[members[0]];
+        for (CliqueId r : members) m = std::min(m, by_id[r]);
+        return m;
+      };
+      const KindDelta<K::kS>& d = std::get<KindDelta<K::kS>>(deltas);
+      for (const auto& s : d.born) {
+        level = std::max(level, min_level(s, kappa));
+      }
+      for (const auto& s : d.dead) {
+        level = std::max(level, min_level(s, old_kappa[slot]));
+      }
+    }
+    KindState<typename K::Space>& st = State(k);
+    const typename K::Space space = K::MakeSpace(*graph_, *index_of(k));
+    NucleusHierarchy repaired =
+        st.arena ? RepairHierarchy(*st.arena, *old_hierarchy[slot], kappa,
+                                   space.LiveRFlags(), level)
+                 : RepairHierarchy(space, *old_hierarchy[slot], kappa,
+                                   space.LiveRFlags(), level);
+    std::lock_guard<std::mutex> clk(st.mu);
+    st.hierarchy = std::make_unique<NucleusHierarchy>(std::move(repaired));
     BumpStat(&SessionStats::hierarchy_repairs);
-  };
-  if (old_hierarchy[0]) {
-    Degree level = touched_level(old_kappa[0], new_core_kappa);
-    for (const auto& [u, v] : delta.inserted) {
-      level = std::max(level,
-                       std::min(new_core_kappa[u], new_core_kappa[v]));
-    }
-    for (const auto& [u, v] : delta.removed) {
-      level = std::max(level, std::min(old_kappa[0][u], old_kappa[0][v]));
-    }
-    const CoreSpace space(*graph_);
-    install_repaired(0, RepairHierarchy(space, *old_hierarchy[0],
-                                        new_core_kappa, space.LiveRFlags(),
-                                        level));
-  }
-  // The repair re-sweeps per member, so an uncompressed arena (already
-  // patched in stage 5) serves it by contiguous scans instead of
-  // per-member intersections and id lookups; the fly space otherwise.
-  const auto repair = [&](const auto& space, const auto& cell,
-                          const NucleusHierarchy& old,
-                          const std::vector<Degree>& kappa, Degree level) {
-    return cell.arena ? RepairHierarchy(*cell.arena, old, kappa,
-                                        space.LiveRFlags(), level)
-                      : RepairHierarchy(space, old, kappa,
-                                        space.LiveRFlags(), level);
-  };
-  if (old_hierarchy[1] && eidx != nullptr) {
-    install_repaired(
-        1, repair(TrussSpace(*graph_, *eidx), truss_, *old_hierarchy[1],
-                  new_truss_kappa,
-                  touched_level(old_kappa[1], new_truss_kappa)));
-  }
-  if (old_hierarchy[2] && tidx != nullptr) {
-    install_repaired(
-        2, repair(Nucleus34Space(*graph_, *tidx), nucleus34_,
-                  *old_hierarchy[2], new_n34_kappa,
-                  touched_level(old_kappa[2], new_n34_kappa)));
-  }
+  });
 
   // Stage 7: compaction. Patching keeps commits O(delta) but leaves
   // tombstones every sweep still iterates over; once a layer's dead
   // fraction crosses the threshold, re-densify it. The edge layer rebuild
-  // is a cheap linear scan done eagerly (so the (2,3) seed can be remapped
-  // to the fresh ids); the triangle layer drops lazily — its rebuild is
-  // the expensive enumeration and the next (3,4) caller pays it, with the
-  // (3,4) seed re-exported in the fresh lexicographic id order so the
-  // maintainer's exact values survive the re-densify. Hierarchies of a
-  // compacted layer are dropped: their members are ids of the retired
-  // id space.
-  if (eidx != nullptr) {
-    const std::size_t dead = eidx->NumEdges() - eidx->NumLiveEdges();
-    if (dead >= kMinDeadForCompaction &&
-        eidx->DeadFraction() > kDeadFractionForCompaction) {
-      edge_index_.Install(EdgeIndex(*graph_));
-      BumpStat(&SessionStats::edge_index_builds);
-      BumpStat(&SessionStats::compactions);
-      edge_triangle_csr_.Reset();
-      truss_.Reset();
-      {
-        std::lock_guard<std::mutex> clk(results_[1].mu);
-        if (truss_maintainer != nullptr) {
-          results_[1].kappa = truss_maintainer->TrussNumbersInIndexOrder();
-        }
-        results_[1].hierarchy.reset();
-      }
-      eidx = nullptr;  // invalidated
-      etc = nullptr;
+  // is a cheap linear scan done eagerly; the triangle layer drops lazily —
+  // its rebuild is the expensive enumeration and the next (3,4) caller
+  // pays it. Either way the kind on top of the layer drops its state and
+  // re-seeds kappa in the fresh lexicographic id order, so the
+  // maintainer's exact values survive the re-densify; its hierarchy goes
+  // too, since its members are ids of the retired id space.
+  const auto compact = [&](auto k) {
+    using K = decltype(k);
+    KindState<typename K::Space>& st = State(k);
+    st.Reset();
+    if (const typename K::Maintainer* m = maintainer_of(k); m != nullptr) {
+      std::lock_guard<std::mutex> clk(st.mu);
+      st.kappa = K::KappaInIndexOrder(*m);
     }
+    BumpStat(&SessionStats::compactions);
+  };
+  if (eidx != nullptr &&
+      eidx->NumEdges() - eidx->NumLiveEdges() >= kMinDeadForCompaction &&
+      eidx->DeadFraction() > kDeadFractionForCompaction) {
+    edge_index_.Install(EdgeIndex(*graph_));
+    BumpStat(&SessionStats::edge_index_builds);
+    edge_triangle_csr_.Reset();
+    compact(TrussKind{});
   }
-  if (tidx != nullptr) {
-    const std::size_t dead =
-        tidx->NumTriangles() - tidx->NumLiveTriangles();
-    if (dead >= kMinDeadForCompaction &&
-        tidx->DeadFraction() > kDeadFractionForCompaction) {
-      triangle_index_.Reset();
-      edge_triangle_csr_.Reset();
-      nucleus34_.Reset();
-      BumpStat(&SessionStats::compactions);
-      {
-        std::lock_guard<std::mutex> clk(results_[2].mu);
-        if (n34_maintainer != nullptr) {
-          results_[2].kappa = n34_maintainer->Nucleus34NumbersInIndexOrder();
-        }
-        results_[2].hierarchy.reset();
-      }
-      tidx = nullptr;
-    }
+  if (tidx != nullptr &&
+      tidx->NumTriangles() - tidx->NumLiveTriangles() >=
+          kMinDeadForCompaction &&
+      tidx->DeadFraction() > kDeadFractionForCompaction) {
+    triangle_index_.Reset();
+    edge_triangle_csr_.Reset();
+    compact(Nucleus34Kind{});
   }
   return Status::Ok();
 }
 
 void NucleusSession::ResetDerivedState() {
-  core_.Reset();
-  truss_.Reset();
-  nucleus34_.Reset();
+  ForEachKind([&](auto k) { State(k).Reset(); });
   edge_triangle_csr_.Reset();
   edge_index_.Reset();
   triangle_index_.Reset();
-  for (ResultCell& cell : results_) {
-    std::lock_guard<std::mutex> clk(cell.mu);
-    cell.Reset();
-  }
 }
 
 void NucleusSession::InvalidateDerivedState() {
@@ -1266,32 +1268,20 @@ SessionStateStats NucleusSession::Stats() const {
         (s.edge_ids + 1) * sizeof(std::uint64_t) +
         3 * s.triangle_ids * sizeof(std::pair<TriangleId, VertexId>);
   }
-  {
-    std::lock_guard<std::mutex> alk(core_.mu);
-    if (core_.arena) s.arena_bytes[0] = core_.arena->MemoryBytes();
-    if (core_.compressed) {
-      s.arena_compressed_bytes[0] = core_.compressed->MemoryBytes();
+  ForEachKind([&](auto k) {
+    const auto& st = State(k);
+    const std::size_t slot = Slot(k);
+    {
+      std::lock_guard<std::mutex> alk(st.arena_mu);
+      if (st.arena) s.arena_bytes[slot] = st.arena->MemoryBytes();
+      if (st.compressed) {
+        s.arena_compressed_bytes[slot] = st.compressed->MemoryBytes();
+      }
     }
-  }
-  {
-    std::lock_guard<std::mutex> alk(truss_.mu);
-    if (truss_.arena) s.arena_bytes[1] = truss_.arena->MemoryBytes();
-    if (truss_.compressed) {
-      s.arena_compressed_bytes[1] = truss_.compressed->MemoryBytes();
-    }
-  }
-  {
-    std::lock_guard<std::mutex> alk(nucleus34_.mu);
-    if (nucleus34_.arena) s.arena_bytes[2] = nucleus34_.arena->MemoryBytes();
-    if (nucleus34_.compressed) {
-      s.arena_compressed_bytes[2] = nucleus34_.compressed->MemoryBytes();
-    }
-  }
-  for (int k = 0; k < 3; ++k) {
-    std::lock_guard<std::mutex> clk(results_[k].mu);
-    s.kappa_cached[k] = results_[k].kappa.has_value();
-    s.hierarchy_cached[k] = results_[k].hierarchy != nullptr;
-  }
+    std::lock_guard<std::mutex> clk(st.mu);
+    s.kappa_cached[slot] = st.kappa.has_value();
+    s.hierarchy_cached[slot] = st.hierarchy != nullptr;
+  });
   return s;
 }
 

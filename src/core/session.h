@@ -2,11 +2,16 @@
 // Graph and owns every piece of derived state — EdgeIndex, TriangleIndex,
 // EdgeTriangleCsr, the per-space CSR co-member arenas, exact kappa values,
 // truncated-run tau values, and nucleus hierarchies — built lazily on
-// first use, cached, and shared across every subsequent call. The one-shot
-// free functions in nucleus_decomposition.h are thin deprecated wrappers
-// over a temporary session; server-style callers that issue repeated
-// decompositions, queries, or updates against the same graph should hold a
-// session so the indices and arenas are paid for exactly once.
+// first use, cached, and shared across every subsequent call. Callers that
+// issue repeated decompositions, queries, or updates against the same
+// graph hold one session so the indices and arenas are paid for once.
+//
+// The three (r,s) instances are one code path: session.cc keeps a kind
+// table (per kind: its space type, the index the space is made from, its
+// SessionStats counters, its id noun, whether its ids can be tombstoned)
+// and every entry point, commit stage and snapshot is written once over
+// it. The table is the single per-kind seam; KindName / ParseKindName
+// below read their names from it too.
 //
 // Quickstart:
 //   NucleusSession session(LoadEdgeListText("graph.txt"));  // owns the graph
@@ -71,6 +76,8 @@
 #include <optional>
 #include <shared_mutex>
 #include <span>
+#include <string>
+#include <tuple>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -103,6 +110,13 @@ enum class DecompositionKind {
   kTruss,      // (2, 3): kappa over edges
   kNucleus34,  // (3, 4): kappa over triangles
 };
+
+/// Canonical name of the kind: "core", "truss" or "nucleus34".
+const char* KindName(DecompositionKind kind);
+/// Parses a canonical kind name or one of its aliases ("(1,2)" / "12",
+/// "(2,3)" / "23", "nucleus" / "(3,4)" / "34"); kInvalidArgument naming the
+/// canonical names otherwise.
+StatusOr<DecompositionKind> ParseKindName(const std::string& name);
 
 /// Which algorithm computes the kappa values.
 enum class Method {
@@ -284,7 +298,7 @@ class NucleusSession {
   /// Owning construction: the session takes the graph by move.
   explicit NucleusSession(Graph&& graph);
   /// Borrowing construction: the caller keeps `graph` alive for the
-  /// session's lifetime (used by the legacy free-function wrappers). A
+  /// session's lifetime. A
   /// committed UpdateBatch switches the session to an internal mutated
   /// copy; the borrowed graph is never modified.
   explicit NucleusSession(const Graph& graph);
@@ -454,7 +468,11 @@ class NucleusSession {
   // Lazily built, cached, shared index surface. References stay valid
   // until the next mutating Commit or InvalidateDerivedState (commits
   // usually patch in place, but a compacting commit replaces the
-  // objects; see thread-safety note above).
+  // objects; see thread-safety note above). A first-time build goes
+  // through the same fallible builder as every entry point, with an
+  // unstoppable control: it can fail only at an armed fault point
+  // (NUCLEUS_FAULT_INJECTION builds), and since a reference cannot carry
+  // a Status, the process then aborts with the status message.
 
   /// Canonical edge ids of the current graph.
   const EdgeIndex& Edges();
@@ -464,9 +482,10 @@ class NucleusSession {
   /// Per-edge triangle adjacency (CSR over edge ids).
   const EdgeTriangleCsr& EdgeTriangles(int threads = 1);
 
-  /// Number of r-clique ids of the kind (building the needed index). This
-  /// is the id-space size: it may exceed the live count after commits
-  /// removed edges (see the mutation-path comment).
+  /// Number of r-clique ids of the kind (building the needed index; a
+  /// failed build aborts as for Edges()). This is the id-space size: it
+  /// may exceed the live count after commits removed edges (see the
+  /// mutation-path comment).
   std::size_t NumRCliques(DecompositionKind kind);
 
   /// Drops every cached index, arena, kappa/tau vector, and hierarchy.
@@ -485,15 +504,37 @@ class NucleusSession {
   SessionStateStats Stats() const;
 
  private:
-  // Per-kind materialized-arena cell: its own mutex (so same-kind callers
-  // serialize but different kinds proceed), the base (on-the-fly) space
-  // pinned behind unique_ptr so CsrSpace's internal pointer stays valid,
-  // the arena itself, and the largest budget a build attempt failed under
-  // (avoids re-attempting hopeless builds on every call; cleared on every
-  // mutating commit, since a shrunken graph may fit again).
+  // The result half of a kind's state: exact kappa, the tau cache of
+  // truncated runs — keyed by (method, max_iterations), since unlike kappa
+  // a truncated tau differs between engines (the remaining AND knobs
+  // order/seed/threads are deliberately not part of the key; see
+  // use_result_cache) — and the hierarchy.
+  struct ResultCell {
+    struct Truncated {
+      std::vector<Degree> tau;
+      int iterations = 0;
+      bool exact = false;
+    };
+    mutable std::mutex mu;
+    std::optional<std::vector<Degree>> kappa;
+    std::map<std::pair<Method, int>, Truncated> tau_cache;
+    std::unique_ptr<NucleusHierarchy> hierarchy;
+
+    void ResetResults() {
+      kappa.reset();
+      tau_cache.clear();
+      hierarchy.reset();
+    }
+  };
+
+  // Everything the session caches for one kind: the results above plus
+  // the materialized-arena half under its own mutex (so same-kind arena
+  // builders serialize while other kinds, and cache-served reads of this
+  // one, proceed): the base (on-the-fly) space pinned behind unique_ptr
+  // so CsrSpace's internal pointer stays valid, and the arena itself.
   template <typename Space>
-  struct ArenaCell {
-    mutable std::mutex mu;  // Stats() peeks the arena from const context
+  struct KindState : ResultCell {
+    mutable std::mutex arena_mu;  // Stats() peeks from const context
     std::unique_ptr<Space> space;
     std::optional<CsrSpace<Space>> arena;
     // The delta-compressed alternative (at most one representation is
@@ -514,6 +555,10 @@ class NucleusSession {
     std::vector<Degree> fly_degrees;
 
     void Reset() {
+      {
+        std::lock_guard<std::mutex> lk(mu);
+        ResetResults();
+      }
       arena.reset();  // holds a pointer into *space: drop first
       compressed.reset();
       space.reset();
@@ -523,71 +568,53 @@ class NucleusSession {
     }
   };
 
-  // Per-kind result cell: exact kappa, the tau cache of truncated runs —
-  // keyed by (method, max_iterations), since unlike kappa a truncated tau
-  // differs between engines (the remaining AND knobs order/seed/threads
-  // are deliberately not part of the key; see use_result_cache) — and
-  // the hierarchy.
-  struct ResultCell {
-    struct Truncated {
-      std::vector<Degree> tau;
-      int iterations = 0;
-      bool exact = false;
-    };
-    mutable std::mutex mu;
-    std::optional<std::vector<Degree>> kappa;
-    std::map<std::pair<Method, int>, Truncated> tau_cache;
-    std::unique_ptr<NucleusHierarchy> hierarchy;
-
-    void Reset() {
-      kappa.reset();
-      tau_cache.clear();
-      hierarchy.reset();
-    }
-  };
+  // The kind's state, selected by its kind-table entry (session.cc).
+  template <typename K>
+  KindState<typename K::Space>& State(K) {
+    return std::get<KindState<typename K::Space>>(kinds_);
+  }
+  template <typename K>
+  const KindState<typename K::Space>& State(K) const {
+    return std::get<KindState<typename K::Space>>(kinds_);
+  }
+  ResultCell& Results(DecompositionKind kind);
 
   // Shared-lock-held internals (callers hold session_mu_ in shared or
-  // exclusive mode). build_seconds (when non-null) accumulates time spent
-  // building in this call (0 on a cache hit).
-  const EdgeIndex& EdgesShared(double* build_seconds);
-  const TriangleIndex& TrianglesShared(int threads, double* build_seconds);
-  const EdgeTriangleCsr& EdgeTrianglesShared(int threads);
-  // Fallible variants used by the Status-returning entry points: the same
-  // cells, but the build is cancellable via ctl and subject to the
-  // injected fault points. A failed build installs NOTHING into the cell
-  // (the next caller rebuilds from scratch); a cached value is returned
-  // as-is even past a deadline.
-  StatusOr<const EdgeIndex*> TryEdgesShared(double* build_seconds);
-  StatusOr<const TriangleIndex*> TryTrianglesShared(int threads,
-                                                    double* build_seconds,
-                                                    RunControl ctl);
-  StatusOr<const EdgeTriangleCsr*> TryEdgeTrianglesShared(int threads,
-                                                          RunControl ctl);
-  std::size_t NumRCliquesShared(DecompositionKind kind);
+  // exclusive mode).
+  //
+  // The one builder of every index: EdgeIndex, TriangleIndex and
+  // EdgeTriangleCsr (and Graph, the (1,2) space's vertex "index", returned
+  // as is). A cached index is returned as-is even past a deadline; a build
+  // is cancellable via ctl where the index supports it and runs behind
+  // its injected fault point, and a failed build installs NOTHING (the
+  // next caller rebuilds from scratch). build_seconds (when non-null)
+  // accumulates the time spent building in this call.
+  template <typename Index>
+  StatusOr<const Index*> IndexShared(int threads, double* build_seconds,
+                                     RunControl ctl);
   StatusOr<DecomposeResult> DecomposeShared(DecompositionKind kind,
                                             const DecomposeOptions& options,
                                             RunControl ctl);
-  StatusOr<NucleusHierarchy> HierarchyForShared(DecompositionKind kind,
-                                                std::span<const Degree> kappa,
-                                                RunControl ctl);
-  // Builds the hierarchy from a fresh peel run's level partition (moved
-  // out of the result), skipping the kappa re-bucketing pass.
-  StatusOr<NucleusHierarchy> HierarchyFromPeelShared(DecompositionKind kind,
-                                                     DecomposeResult&& result,
-                                                     RunControl ctl);
-
-  template <typename Space, typename MakeSpace>
-  StatusOr<DecomposeResult> DecomposeWithSpace(
-      DecompositionKind kind, const DecomposeOptions& options,
-      ArenaCell<Space>* cell, std::uint64_t SessionStats::* arena_counter,
-      MakeSpace&& make_space, double index_seconds, RunControl ctl);
+  template <typename K>
+  StatusOr<DecomposeResult> DecomposeKind(K kind,
+                                          const DecomposeOptions& options,
+                                          const typename K::Index& index,
+                                          double index_seconds,
+                                          RunControl ctl);
+  // Builds the kind's hierarchy from exact kappa over the on-the-fly
+  // space — from `peel`'s level partition when it carries one (a fresh
+  // peel run; no kappa re-bucketing), else by bucketing kappa.
+  StatusOr<NucleusHierarchy> HierarchyShared(DecompositionKind kind,
+                                             const std::vector<Degree>& kappa,
+                                             PeelResult* peel,
+                                             RunControl ctl);
 
   // Serves a repeat request from the kind's result cell, or std::nullopt
   // on a miss. Caller holds session_mu_ shared.
   std::optional<StatusOr<DecomposeResult>> TryServeFromCache(
-      DecompositionKind kind, const DecomposeOptions& options);
+      ResultCell& cell, const DecomposeOptions& options);
   // Stores an engine run's outcome into the kind's result cell.
-  void StoreResult(DecompositionKind kind, const DecomposeOptions& options,
+  void StoreResult(ResultCell& cell, const DecomposeOptions& options,
                    const DecomposeResult& result);
 
   Status CommitUpdates(UpdateBatch* batch, RunControl ctl);
@@ -613,10 +640,9 @@ class NucleusSession {
   StateCell<EdgeIndex> edge_index_;
   StateCell<TriangleIndex> triangle_index_;
   StateCell<EdgeTriangleCsr> edge_triangle_csr_;
-  ArenaCell<CoreSpace> core_;
-  ArenaCell<TrussSpace> truss_;
-  ArenaCell<Nucleus34Space> nucleus34_;
-  ResultCell results_[3];  // indexed by kind
+  std::tuple<KindState<CoreSpace>, KindState<TrussSpace>,
+             KindState<Nucleus34Space>>
+      kinds_;
 
   // Bumped on every mutating commit; outstanding UpdateBatches compare
   // their branch epoch against it so a stale batch cannot silently drop a

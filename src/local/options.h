@@ -1,10 +1,7 @@
-// The shared execution knobs of every decomposition entry point. Before
-// this header existed, LocalOptions (SND/AND) and DecomposeOptions (facade)
-// each carried their own copies of threads/max_iterations/materialize/...,
-// and the facade hand-copied them field by field — a drift hazard every
-// time a knob was added. Both structs now derive from the single Options
-// aggregate below, so the shared knobs exist exactly once and propagate
-// with one slice-assignment.
+// The shared execution knobs of every decomposition entry point.
+// LocalOptions (SND/AND) and DecomposeOptions (session) both derive from
+// the single Options aggregate below, so the shared knobs exist exactly
+// once and propagate with one slice-assignment.
 #ifndef NUCLEUS_LOCAL_OPTIONS_H_
 #define NUCLEUS_LOCAL_OPTIONS_H_
 
@@ -18,8 +15,7 @@ namespace nucleus {
 
 struct ConvergenceTrace;
 
-/// Knobs common to the local engines (SND/AND), the facade, and the
-/// session API. Derived option structs add their algorithm-specific fields.
+/// Knobs common to the local engines (SND/AND) and the session API. Derived option structs add their algorithm-specific fields.
 struct Options {
   /// Worker threads for the per-r-clique loops (and, via the session, for
   /// index/arena construction).

@@ -52,6 +52,10 @@ template NucleusHierarchy RepairHierarchy<Nucleus34Space>(
     const std::vector<Degree>&, std::span<const std::uint8_t>, Degree,
     RunControl);
 // Arena-backed repairs: the session re-sweeps over its patched arenas.
+template NucleusHierarchy RepairHierarchy<CsrSpace<CoreSpace>>(
+    const CsrSpace<CoreSpace>&, const NucleusHierarchy&,
+    const std::vector<Degree>&, std::span<const std::uint8_t>, Degree,
+    RunControl);
 template NucleusHierarchy RepairHierarchy<CsrSpace<TrussSpace>>(
     const CsrSpace<TrussSpace>&, const NucleusHierarchy&,
     const std::vector<Degree>&, std::span<const std::uint8_t>, Degree,

@@ -75,29 +75,6 @@ ServerResponse OkResponse(JsonWriter&& w) {
   return ServerResponse{Status::Ok(), w.Take(), /*streamed=*/false};
 }
 
-const char* KindName(DecompositionKind kind) {
-  switch (kind) {
-    case DecompositionKind::kCore: return "core";
-    case DecompositionKind::kTruss: return "truss";
-    case DecompositionKind::kNucleus34: return "nucleus34";
-  }
-  return "?";
-}
-
-StatusOr<DecompositionKind> ParseKindName(const std::string& s) {
-  if (s == "core" || s == "(1,2)" || s == "12") {
-    return DecompositionKind::kCore;
-  }
-  if (s == "truss" || s == "(2,3)" || s == "23") {
-    return DecompositionKind::kTruss;
-  }
-  if (s == "nucleus34" || s == "nucleus" || s == "(3,4)" || s == "34") {
-    return DecompositionKind::kNucleus34;
-  }
-  return Status::InvalidArgument(
-      "unknown kind '" + s + "' (want core | truss | nucleus34)");
-}
-
 StatusOr<Method> ParseMethodName(const std::string& s) {
   if (s == "and") return Method::kAnd;
   if (s == "snd") return Method::kSnd;
@@ -180,7 +157,9 @@ constexpr std::size_t kNegativeCacheCap = 1024;
 }  // namespace
 
 void WriteSessionStats(JsonWriter& w, const SessionStateStats& s) {
-  static const char* kKinds[3] = {"core", "truss", "nucleus34"};
+  const auto kind = [](int k) {
+    return KindName(static_cast<DecompositionKind>(k));
+  };
   w.Key("num_vertices").UInt(s.num_vertices);
   w.Key("num_edges").UInt(s.num_edges);
   w.Key("edge_ids").UInt(s.edge_ids);
@@ -191,16 +170,16 @@ void WriteSessionStats(JsonWriter& w, const SessionStateStats& s) {
   w.Key("index_bytes").UInt(s.index_bytes);
   w.Key("total_bytes").UInt(s.TotalBytes());
   w.Key("kappa_cached").BeginObject();
-  for (int k = 0; k < 3; ++k) w.Key(kKinds[k]).Bool(s.kappa_cached[k]);
+  for (int k = 0; k < 3; ++k) w.Key(kind(k)).Bool(s.kappa_cached[k]);
   w.EndObject();
   w.Key("hierarchy_cached").BeginObject();
-  for (int k = 0; k < 3; ++k) w.Key(kKinds[k]).Bool(s.hierarchy_cached[k]);
+  for (int k = 0; k < 3; ++k) w.Key(kind(k)).Bool(s.hierarchy_cached[k]);
   w.EndObject();
   w.Key("arena_bytes").BeginObject();
-  for (int k = 0; k < 3; ++k) w.Key(kKinds[k]).UInt(s.arena_bytes[k]);
+  for (int k = 0; k < 3; ++k) w.Key(kind(k)).UInt(s.arena_bytes[k]);
   w.EndObject();
   w.Key("arena_compressed_bytes").BeginObject();
-  for (int k = 0; k < 3; ++k) w.Key(kKinds[k]).UInt(s.arena_compressed_bytes[k]);
+  for (int k = 0; k < 3; ++k) w.Key(kind(k)).UInt(s.arena_compressed_bytes[k]);
   w.EndObject();
   const SessionStats& c = s.counters;
   w.Key("counters").BeginObject();

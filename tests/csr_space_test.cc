@@ -13,7 +13,7 @@
 #include "src/clique/kclique.h"
 #include "src/graph/builder.h"
 #include "src/core/generic_rs.h"
-#include "src/core/nucleus_decomposition.h"
+#include "src/core/session.h"
 // Impl headers: this suite instantiates the engines for the non-canonical
 // CsrSpace<GenericRsSpace> (the documented extension-point pattern).
 #include "src/local/and_impl.h"
@@ -169,7 +169,7 @@ TEST(CsrSpace, AutoBudgetFallbackMatchesResults) {
   EXPECT_EQ(SndGeneric(space, tiny).tau, SndGeneric(space, off).tau);
 }
 
-TEST(CsrSpace, FacadeMaterializeKnob) {
+TEST(CsrSpace, SessionMaterializeKnob) {
   const Graph g = testlib::RandomGraph(50, 200, 9);
   for (const auto kind :
        {DecompositionKind::kCore, DecompositionKind::kTruss,
@@ -180,8 +180,11 @@ TEST(CsrSpace, FacadeMaterializeKnob) {
       on.materialize = Materialize::kOn;
       DecomposeOptions mat_off = on;
       mat_off.materialize = Materialize::kOff;
-      EXPECT_EQ(Decompose(g, kind, on).kappa,
-                Decompose(g, kind, mat_off).kappa);
+      NucleusSession arena_session(g), fly_session(g);
+      const auto arena = arena_session.Decompose(kind, on);
+      const auto fly = fly_session.Decompose(kind, mat_off);
+      ASSERT_TRUE(arena.ok() && fly.ok());
+      EXPECT_EQ(arena->kappa, fly->kappa);
     }
   }
 }

@@ -347,7 +347,8 @@ TEST(OnePassHierarchy, ArenaBackedRepairMatchesRebuildAfterCommits) {
   DecomposeOptions opt;
   opt.method = Method::kAnd;
   opt.materialize = Materialize::kOn;  // arenas, patched by every commit
-  const DecompositionKind kinds[] = {DecompositionKind::kTruss,
+  const DecompositionKind kinds[] = {DecompositionKind::kCore,
+                                     DecompositionKind::kTruss,
                                      DecompositionKind::kNucleus34};
   for (auto kind : kinds) {
     ASSERT_TRUE(session.Decompose(kind, opt).ok());
@@ -361,9 +362,8 @@ TEST(OnePassHierarchy, ArenaBackedRepairMatchesRebuildAfterCommits) {
     const SessionStateStats state = session.Stats();
     for (auto kind : kinds) {
       const int k = static_cast<int>(kind);
-      const std::string tag = "round " + std::to_string(round) +
-                              (kind == DecompositionKind::kTruss ? " truss"
-                                                                 : " n34");
+      const std::string tag =
+          "round " + std::to_string(round) + " " + KindName(kind);
       ASSERT_GT(state.arena_bytes[k], 0u) << tag;  // repaired over the arena
       const auto kappa = session.Decompose(kind, opt);
       ASSERT_TRUE(kappa.ok() && kappa->served_from_cache) << tag;
@@ -376,11 +376,11 @@ TEST(OnePassHierarchy, ArenaBackedRepairMatchesRebuildAfterCommits) {
   }
   const SessionStats after = session.stats();
   EXPECT_EQ(after.hierarchy_builds, warm.hierarchy_builds);
+  EXPECT_EQ(after.core_arena_builds, warm.core_arena_builds);
   EXPECT_EQ(after.truss_arena_builds, warm.truss_arena_builds);
   EXPECT_EQ(after.nucleus34_arena_builds, warm.nucleus34_arena_builds);
-  // Truss and (3,4), plus the core hierarchy is never cached here.
   EXPECT_EQ(after.hierarchy_repairs - warm.hierarchy_repairs,
-            std::uint64_t{2} * kRounds);
+            std::uint64_t{3} * kRounds);
 }
 
 // ---------------------------------------------------------------------------

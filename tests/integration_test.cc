@@ -4,7 +4,7 @@
 
 #include "src/clique/four_cliques.h"
 #include "src/clique/triangles.h"
-#include "src/core/nucleus_decomposition.h"
+#include "src/core/session.h"
 #include "src/graph/generators.h"
 #include "src/graph/io.h"
 #include "src/local/query.h"
@@ -19,10 +19,13 @@ TEST(Integration, PlantedCommunitiesSurfaceInTrussHierarchy) {
   // Three dense planted blocks: the truss hierarchy must contain at least
   // three disjoint high-k nuclei, one per block.
   const Graph g = GeneratePlantedPartition(3, 14, 0.85, 0.02, 42);
+  NucleusSession session(g);
   const auto r =
-      Decompose(g, DecompositionKind::kTruss, {.method = Method::kAnd});
-  ASSERT_TRUE(r.exact);
-  const auto h = DecomposeHierarchy(g, DecompositionKind::kTruss, r.kappa);
+      session.Decompose(DecompositionKind::kTruss, {.method = Method::kAnd});
+  ASSERT_TRUE(r.ok() && r->exact);
+  const auto hf = session.HierarchyFor(DecompositionKind::kTruss, r->kappa);
+  ASSERT_TRUE(hf.ok());
+  const NucleusHierarchy& h = *hf;
   // Count maximal nodes with k >= 5 (deep nuclei).
   std::size_t deep = 0;
   for (const auto& node : h.nodes) {
@@ -35,24 +38,30 @@ TEST(Integration, PlantedCommunitiesSurfaceInTrussHierarchy) {
 
 TEST(Integration, ApproximationQualityImprovesWithIterations) {
   const Graph g = GenerateRmat(9, 8, 7);
-  const auto exact =
-      Decompose(g, DecompositionKind::kCore, {.method = Method::kPeeling});
+  NucleusSession session(g);
+  const auto exact = session.Decompose(DecompositionKind::kCore,
+                                       {.method = Method::kPeeling});
+  ASSERT_TRUE(exact.ok());
+  // Every SND run below is a fresh engine run, not the cached exact kappa.
+  DecomposeOptions opt;
+  opt.method = Method::kSnd;
+  opt.use_result_cache = false;
   double prev_tau = -2.0;
   for (int iters : {1, 2, 4, 8}) {
-    DecomposeOptions opt;
-    opt.method = Method::kSnd;
     opt.max_iterations = iters;
-    const auto approx = Decompose(g, DecompositionKind::kCore, opt);
-    const double kt = KendallTauB(approx.kappa, exact.kappa);
+    const auto approx = session.Decompose(DecompositionKind::kCore, opt);
+    ASSERT_TRUE(approx.ok());
+    const double kt = KendallTauB(approx->kappa, exact->kappa);
     EXPECT_GE(kt + 1e-9, prev_tau) << iters << " iterations";
     prev_tau = kt;
-    const auto acc = ComputeAccuracy(approx.kappa, exact.kappa);
+    const auto acc = ComputeAccuracy(approx->kappa, exact->kappa);
     EXPECT_GE(acc.exact_fraction, 0.0);
   }
   // Full convergence: perfect agreement.
-  const auto full =
-      Decompose(g, DecompositionKind::kCore, {.method = Method::kSnd});
-  EXPECT_DOUBLE_EQ(KendallTauB(full.kappa, exact.kappa), 1.0);
+  opt.max_iterations = 0;
+  const auto full = session.Decompose(DecompositionKind::kCore, opt);
+  ASSERT_TRUE(full.ok());
+  EXPECT_DOUBLE_EQ(KendallTauB(full->kappa, exact->kappa), 1.0);
 }
 
 TEST(Integration, SaveLoadDecomposeStable) {
@@ -100,9 +109,11 @@ TEST(Integration, TableThreeStatisticsPipeline) {
 
 TEST(Integration, DensityIncreasesDownTheCoreHierarchy) {
   const Graph g = GenerateNestedCliques(3, 5, 4, 3);
-  const auto r =
-      Decompose(g, DecompositionKind::kCore, {.method = Method::kPeeling});
-  const auto h = DecomposeHierarchy(g, DecompositionKind::kCore, r.kappa);
+  NucleusSession session(g);
+  const auto hp =
+      session.Hierarchy(DecompositionKind::kCore, {.method = Method::kPeeling});
+  ASSERT_TRUE(hp.ok());
+  const NucleusHierarchy& h = **hp;
   // For each root-to-leaf chain, subgraph density of the nucleus vertex set
   // must not decrease (denser nuclei nest inside sparser ones).
   for (int root : h.roots) {

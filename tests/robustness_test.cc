@@ -7,7 +7,7 @@
 #include <limits>
 
 #include "src/common/rng.h"
-#include "src/core/nucleus_decomposition.h"
+#include "src/core/session.h"
 #include "src/graph/builder.h"
 #include "src/graph/generators.h"
 #include "src/graph/io.h"
@@ -93,15 +93,20 @@ TEST(Robustness, FullPipelineOnDegenerateGraphs) {
   for (const Graph& g : graphs) {
     for (auto kind : {DecompositionKind::kCore, DecompositionKind::kTruss,
                       DecompositionKind::kNucleus34}) {
-      const auto p = Decompose(g, kind, {.method = Method::kPeeling});
-      const auto s = Decompose(g, kind, {.method = Method::kSnd});
-      const auto a = Decompose(g, kind, {.method = Method::kAnd});
-      EXPECT_EQ(p.kappa, s.kappa);
-      EXPECT_EQ(p.kappa, a.kappa);
-      const auto h = DecomposeHierarchy(g, kind, p.kappa);
+      NucleusSession session(g);
+      const auto p = session.Decompose(kind, {.method = Method::kPeeling});
+      const auto s = session.Decompose(
+          kind, {.method = Method::kSnd, .use_result_cache = false});
+      const auto a = session.Decompose(
+          kind, {.method = Method::kAnd, .use_result_cache = false});
+      ASSERT_TRUE(p.ok() && s.ok() && a.ok());
+      EXPECT_EQ(p->kappa, s->kappa);
+      EXPECT_EQ(p->kappa, a->kappa);
+      const auto h = session.HierarchyFor(kind, p->kappa);
+      ASSERT_TRUE(h.ok());
       std::size_t total = 0;
-      for (int root : h.roots) total += h.nodes[root].size;
-      EXPECT_EQ(total, p.num_r_cliques);
+      for (int root : h->roots) total += h->nodes[root].size;
+      EXPECT_EQ(total, p->num_r_cliques);
     }
   }
 }
@@ -109,10 +114,12 @@ TEST(Robustness, FullPipelineOnDegenerateGraphs) {
 TEST(Robustness, LargeStarDoesNotOverflowHIndexPath) {
   // A 50k-leaf star exercises the h-index path with one huge list.
   const Graph g = GenerateStar(50001);
-  const auto r = Decompose(g, DecompositionKind::kCore,
-                           {.method = Method::kSnd});
-  EXPECT_EQ(r.kappa[0], 1u);
-  EXPECT_EQ(r.kappa[1], 1u);
+  NucleusSession session(g);
+  const auto r =
+      session.Decompose(DecompositionKind::kCore, {.method = Method::kSnd});
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r->kappa[0], 1u);
+  EXPECT_EQ(r->kappa[1], 1u);
 }
 
 TEST(Robustness, MaxIterationsZeroMeansConvergence) {
@@ -120,7 +127,10 @@ TEST(Robustness, MaxIterationsZeroMeansConvergence) {
   DecomposeOptions opt;
   opt.method = Method::kSnd;
   opt.max_iterations = 0;
-  EXPECT_TRUE(Decompose(g, DecompositionKind::kCore, opt).exact);
+  NucleusSession session(g);
+  const auto r = session.Decompose(DecompositionKind::kCore, opt);
+  ASSERT_TRUE(r.ok());
+  EXPECT_TRUE(r->exact);
 }
 
 TEST(Robustness, NegativeLikeThreadCountsClampSafely) {
@@ -128,8 +138,10 @@ TEST(Robustness, NegativeLikeThreadCountsClampSafely) {
   DecomposeOptions opt;
   opt.method = Method::kSnd;
   opt.threads = 0;  // treated as sequential
-  EXPECT_EQ(Decompose(g, DecompositionKind::kCore, opt).kappa,
-            PeelCore(g).kappa);
+  NucleusSession session(g);
+  const auto r = session.Decompose(DecompositionKind::kCore, opt);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r->kappa, PeelCore(g).kappa);
 }
 
 }  // namespace

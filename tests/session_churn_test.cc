@@ -38,6 +38,16 @@ void ChurnAndCheck(int threads, std::uint64_t seed) {
   ASSERT_TRUE(session.Decompose(DecompositionKind::kTruss, warm).ok());
   ASSERT_TRUE(session.Decompose(DecompositionKind::kNucleus34, warm).ok());
   session.EdgeTriangles(threads);  // CSR gets patched too
+  // Fly-space peels as well, so every kind's cached S-degrees get patched
+  // (a peel, unlike the local methods, needs them exact).
+  DecomposeOptions fly = warm;
+  fly.method = Method::kPeeling;
+  fly.materialize = Materialize::kOff;
+  fly.use_result_cache = false;
+  for (auto kind : {DecompositionKind::kCore, DecompositionKind::kTruss,
+                    DecompositionKind::kNucleus34}) {
+    ASSERT_TRUE(session.Decompose(kind, fly).ok());
+  }
   const SessionStats warm_stats = session.stats();
 
   Rng rng(seed);
@@ -146,6 +156,17 @@ void ChurnAndCheck(int threads, std::uint64_t seed) {
         session.Decompose(DecompositionKind::kNucleus34, fresh_run);
     ASSERT_TRUE(n34_engine.ok());
     EXPECT_TRUE(n34_engine->exact);
+    // On the fly, from the patched S-degrees: the same kappa.
+    const auto core_fly = session.Decompose(DecompositionKind::kCore, fly);
+    ASSERT_TRUE(core_fly.ok());
+    EXPECT_EQ(core_fly->kappa, PeelCore(g).kappa);
+    const auto truss_fly = session.Decompose(DecompositionKind::kTruss, fly);
+    ASSERT_TRUE(truss_fly.ok());
+    EXPECT_EQ(truss_fly->kappa, truss_engine->kappa);
+    const auto n34_fly =
+        session.Decompose(DecompositionKind::kNucleus34, fly);
+    ASSERT_TRUE(n34_fly.ok());
+    EXPECT_EQ(n34_fly->kappa, n34_engine->kappa);
     const auto n34_ref = PeelNucleus34(g, fresh_tris).kappa;
     for (TriangleId t = 0; t < fresh_tris.NumTriangles(); ++t) {
       const auto& tri = fresh_tris.Vertices(t);

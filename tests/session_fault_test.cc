@@ -111,7 +111,7 @@ Status RandomOp(NucleusSession* s, std::uint64_t* rng, int threads) {
     }
     default: {
       const std::vector<CliqueId> ids = {0};
-      return s->EstimateQueries(DecompositionKind::kCore, ids).status();
+      return s->EstimateQueries(kind, ids).status();
     }
   }
 }
@@ -285,6 +285,49 @@ TEST(SessionFault, CommitFaultsAreAtomicPerStage) {
     ASSERT_TRUE(batch.Commit().ok()) << stage;
     EXPECT_TRUE(session.graph().HasEdge(add_u, add_v));
     EXPECT_FALSE(session.graph().HasEdge(del_u, del_v));
+  }
+}
+
+// The query and HierarchyFor paths build their indices through the same
+// fallible builders as Decompose: an armed index fault surfaces as a
+// Status, installs nothing, and a quiet retry succeeds.
+TEST(SessionFault, QueryAndHierarchyForIndexBuildsAreFaultable) {
+  if (!FaultInjectionEnabled()) {
+    GTEST_SKIP() << "built without NUCLEUS_FAULT_INJECTION";
+  }
+  DisarmGuard guard;
+  const Graph g = TrialGraph();
+  NucleusSession oracle(g);
+  const auto n34 = oracle.Decompose(DecompositionKind::kNucleus34);
+  ASSERT_TRUE(n34.ok());
+  const std::vector<CliqueId> ids = {0, 1};
+  const struct {
+    const char* point;
+    DecompositionKind kind;
+    bool hierarchy_for;
+  } cases[] = {
+      {"edge_index_build", DecompositionKind::kTruss, false},
+      {"triangle_index_build", DecompositionKind::kNucleus34, false},
+      {"triangle_index_build", DecompositionKind::kNucleus34, true},
+  };
+  for (const auto& c : cases) {
+    const std::string tag = std::string(c.point) + " " + KindName(c.kind) +
+                            (c.hierarchy_for ? " HierarchyFor" : " query");
+    NucleusSession session(g);
+    const auto run = [&]() -> Status {
+      if (c.hierarchy_for) {
+        return session.HierarchyFor(c.kind, n34->kappa).status();
+      }
+      return session.EstimateQueries(c.kind, ids).status();
+    };
+    FaultRegistry::Get().ArmAfter(c.point, 1);
+    const Status failed = run();
+    FaultRegistry::Get().DisarmAll();
+    EXPECT_EQ(failed.code(), StatusCode::kResourceExhausted) << tag;
+    const SessionStateStats state = session.Stats();
+    EXPECT_EQ(state.edge_ids, 0u) << tag;  // nothing installed
+    EXPECT_EQ(state.triangle_ids, 0u) << tag;
+    EXPECT_TRUE(run().ok()) << tag;
   }
 }
 

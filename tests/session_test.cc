@@ -4,9 +4,9 @@
 
 #include <atomic>
 #include <thread>
+#include <utility>
 #include <vector>
 
-#include "src/core/nucleus_decomposition.h"
 #include "src/graph/generators.h"
 #include "src/peel/generic_peel.h"
 
@@ -14,22 +14,36 @@ namespace nucleus {
 namespace {
 
 TEST(Session, MatchesPeelingForAllKindsAndMethods) {
-  const Graph g = GenerateErdosRenyi(40, 170, 2);
-  for (auto kind : {DecompositionKind::kCore, DecompositionKind::kTruss,
-                    DecompositionKind::kNucleus34}) {
-    NucleusSession session(g);  // borrowing
-    const auto peel =
-        session.Decompose(kind, {.method = Method::kPeeling});
-    ASSERT_TRUE(peel.ok());
-    for (auto method : {Method::kSnd, Method::kAnd}) {
-      DecomposeOptions opt;
-      opt.method = method;
-      opt.use_result_cache = false;  // force real engine runs
-      const auto r = session.Decompose(kind, opt);
-      ASSERT_TRUE(r.ok());
-      EXPECT_EQ(r->kappa, peel->kappa);
-      EXPECT_TRUE(r->exact);
-      EXPECT_FALSE(r->served_from_cache);
+  const Graph graphs[] = {
+      GenerateErdosRenyi(40, 170, 2), GenerateBarabasiAlbert(120, 3, 1),
+      GenerateErdosRenyi(50, 200, 2), GenerateErdosRenyi(25, 110, 3),
+      GenerateRmat(8, 6, 7)};
+  for (const Graph& g : graphs) {
+    for (auto kind : {DecompositionKind::kCore, DecompositionKind::kTruss,
+                      DecompositionKind::kNucleus34}) {
+      NucleusSession session(g);  // borrowing
+      const auto peel =
+          session.Decompose(kind, {.method = Method::kPeeling});
+      ASSERT_TRUE(peel.ok());
+      EXPECT_TRUE(peel->exact);
+      EXPECT_EQ(peel->num_r_cliques, session.NumRCliques(kind));
+      if (kind == DecompositionKind::kCore) {
+        EXPECT_EQ(peel->num_r_cliques, g.NumVertices());
+        EXPECT_EQ(peel->index_seconds, 0.0);  // the core space needs none
+      }
+      for (auto method : {Method::kSnd, Method::kAnd}) {
+        for (int threads : {1, 4}) {
+          DecomposeOptions opt;
+          opt.method = method;
+          opt.threads = threads;
+          opt.use_result_cache = false;  // force real engine runs
+          const auto r = session.Decompose(kind, opt);
+          ASSERT_TRUE(r.ok());
+          EXPECT_EQ(r->kappa, peel->kappa);
+          EXPECT_TRUE(r->exact);
+          EXPECT_FALSE(r->served_from_cache);
+        }
+      }
     }
   }
 }
@@ -278,14 +292,31 @@ TEST(Session, MalformedGivenOrderReturnsInvalidArgument) {
   EXPECT_EQ(warm.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST(Session, LegacyFacadeStillThrowsOnMalformedOrder) {
-  const Graph g = GenerateCycle(10);
-  DecomposeOptions opt;
-  opt.method = Method::kAnd;
-  opt.order = AndOrder::kGiven;
-  opt.given_order = {0, 1};  // wrong size
-  EXPECT_THROW(Decompose(g, DecompositionKind::kCore, opt),
-               std::invalid_argument);
+TEST(Session, KindNamesParseEveryAlias) {
+  const std::pair<const char*, DecompositionKind> aliases[] = {
+      {"core", DecompositionKind::kCore},
+      {"(1,2)", DecompositionKind::kCore},
+      {"12", DecompositionKind::kCore},
+      {"truss", DecompositionKind::kTruss},
+      {"(2,3)", DecompositionKind::kTruss},
+      {"23", DecompositionKind::kTruss},
+      {"nucleus34", DecompositionKind::kNucleus34},
+      {"nucleus", DecompositionKind::kNucleus34},
+      {"(3,4)", DecompositionKind::kNucleus34},
+      {"34", DecompositionKind::kNucleus34}};
+  for (const auto& [name, kind] : aliases) {
+    const auto parsed = ParseKindName(name);
+    ASSERT_TRUE(parsed.ok()) << name;
+    EXPECT_EQ(*parsed, kind) << name;
+  }
+  EXPECT_STREQ(KindName(DecompositionKind::kCore), "core");
+  EXPECT_STREQ(KindName(DecompositionKind::kTruss), "truss");
+  EXPECT_STREQ(KindName(DecompositionKind::kNucleus34), "nucleus34");
+  const auto unknown = ParseKindName("clique");
+  ASSERT_FALSE(unknown.ok());
+  EXPECT_EQ(unknown.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(unknown.status().message(),
+            "unknown kind 'clique' (want core | truss | nucleus34)");
 }
 
 TEST(Session, InvalidOptionsAndIdsAreStatusNotThrow) {
@@ -461,7 +492,7 @@ TEST(Session, QueriesCoverAllThreeSpaces) {
   }
 }
 
-TEST(Session, HierarchyIsCachedAndMatchesFacade) {
+TEST(Session, HierarchyIsCachedAndMatchesUncached) {
   const Graph g = GenerateErdosRenyi(30, 120, 13);
   NucleusSession session(g);
   for (auto kind : {DecompositionKind::kCore, DecompositionKind::kTruss,
@@ -471,11 +502,19 @@ TEST(Session, HierarchyIsCachedAndMatchesFacade) {
     const auto h2 = session.Hierarchy(kind);
     ASSERT_TRUE(h2.ok());
     EXPECT_EQ(*h1, *h2);  // same cached object
-    const auto r = Decompose(g, kind, {.method = Method::kPeeling});
-    const NucleusHierarchy ref = DecomposeHierarchy(g, kind, r.kappa);
-    EXPECT_EQ((*h1)->nodes.size(), ref.nodes.size());
-    EXPECT_EQ((*h1)->roots.size(), ref.roots.size());
-    EXPECT_EQ((*h1)->Depth(), ref.Depth());
+    // The uncached path: kappa from a fresh session, then HierarchyFor.
+    NucleusSession fresh(g);
+    const auto r = fresh.Decompose(kind, {.method = Method::kPeeling});
+    ASSERT_TRUE(r.ok());
+    const auto ref = fresh.HierarchyFor(kind, r->kappa);
+    ASSERT_TRUE(ref.ok());
+    EXPECT_EQ((*h1)->nodes.size(), ref->nodes.size());
+    EXPECT_EQ((*h1)->roots.size(), ref->roots.size());
+    EXPECT_EQ((*h1)->Depth(), ref->Depth());
+    // The forest covers every r-clique exactly once.
+    std::size_t total = 0;
+    for (int root : ref->roots) total += ref->nodes[root].size;
+    EXPECT_EQ(total, r->num_r_cliques);
   }
   // Hierarchy seeded each kind's kappa cache: repeats are cache hits.
   const auto r = session.Decompose(DecompositionKind::kTruss);

@@ -15,17 +15,19 @@ TEST(StateCell, BuildsLazilyExactlyOnce) {
   EXPECT_EQ(cell.TryGet(), nullptr);
   EXPECT_FALSE(cell.Has());
   int builds = 0;
-  const int& v = cell.GetOrBuild([&] {
+  const auto v = cell.GetOrTryBuild([&]() -> StatusOr<int> {
     ++builds;
     return 42;
   });
-  EXPECT_EQ(v, 42);
+  ASSERT_TRUE(v.ok());
+  EXPECT_EQ(**v, 42);
   EXPECT_EQ(builds, 1);
-  const int& again = cell.GetOrBuild([&] {
+  const auto again = cell.GetOrTryBuild([&]() -> StatusOr<int> {
     ++builds;
     return 7;
   });
-  EXPECT_EQ(&again, &v);  // pinned: same object
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(*again, *v);  // pinned: same object
   EXPECT_EQ(builds, 1);
   EXPECT_TRUE(cell.Has());
   cell.Reset();
@@ -39,7 +41,7 @@ TEST(StateCell, ConcurrentBuildersRaceToOneBuild) {
   std::vector<const std::vector<int>*> seen(8, nullptr);
   for (int t = 0; t < 8; ++t) {
     workers.emplace_back([&, t] {
-      seen[t] = &cell.GetOrBuild([&] {
+      seen[t] = *cell.GetOrTryBuild([&]() -> StatusOr<std::vector<int>> {
         ++builds;
         std::this_thread::sleep_for(std::chrono::milliseconds(2));
         return std::vector<int>(1000, 5);
@@ -62,7 +64,7 @@ TEST(StateCell, DifferentCellsBuildConcurrently) {
   std::atomic<bool> slow_started{false};
   std::atomic<bool> slow_done{false};
   std::thread slow_builder([&] {
-    slow.GetOrBuild([&] {
+    slow.GetOrTryBuild([&]() -> StatusOr<int> {
       slow_started = true;
       std::this_thread::sleep_for(std::chrono::milliseconds(50));
       slow_done = true;
@@ -70,7 +72,7 @@ TEST(StateCell, DifferentCellsBuildConcurrently) {
     });
   });
   while (!slow_started) std::this_thread::yield();
-  fast.GetOrBuild([] { return 2; });
+  fast.GetOrTryBuild([]() -> StatusOr<int> { return 2; });
   EXPECT_FALSE(slow_done.load());  // fast finished first
   slow_builder.join();
   EXPECT_TRUE(slow_done.load());

@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "src/common/types.h"
-#include "src/core/nucleus_decomposition.h"
+#include "src/core/session.h"
 #include "src/graph/graph.h"
 
 namespace nucleus {
@@ -18,7 +18,7 @@ namespace testlib {
 /// (sequential bucket queue and level-synchronous parallel) and
 /// EXPECT-asserted equal before being returned, so every reference
 /// comparison doubles as an engine-equivalence check. Index order matches
-/// the facade: vertex id for kCore, EdgeIndex id for kTruss,
+/// NucleusSession: vertex id for kCore, EdgeIndex id for kTruss,
 /// TriangleIndex id for kNucleus34.
 std::vector<Degree> PeelingKappa(const Graph& g, DecompositionKind kind);
 

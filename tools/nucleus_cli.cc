@@ -81,14 +81,6 @@ Args ParseArgs(int argc, char** argv, int first) {
   return args;
 }
 
-StatusOr<DecompositionKind> ParseKind(const std::string& s) {
-  if (s == "core") return DecompositionKind::kCore;
-  if (s == "truss") return DecompositionKind::kTruss;
-  if (s == "nucleus34") return DecompositionKind::kNucleus34;
-  return Status::InvalidArgument("unknown --kind: " + s +
-                                 " (expected core|truss|nucleus34)");
-}
-
 StatusOr<Method> ParseMethod(const std::string& s) {
   if (s == "peel") return Method::kPeeling;
   if (s == "snd") return Method::kSnd;
@@ -166,7 +158,7 @@ int CmdDecompose(const Args& args) {
                                    << 20;
   }
   if (args.Has("no-cache")) opt.use_result_cache = false;
-  StatusOr<DecompositionKind> kind = ParseKind(args.Get("kind", "core"));
+  StatusOr<DecompositionKind> kind = ParseKindName(args.Get("kind", "core"));
   if (!kind.ok()) return Fail(kind.status());
 
   const int repeat = args.GetInt("repeat", 1);
@@ -234,7 +226,7 @@ int CmdDecompose(const Args& args) {
 int CmdHierarchy(const Args& args) {
   StatusOr<Graph> g = LoadInput(args);
   if (!g.ok()) return Fail(g.status());
-  StatusOr<DecompositionKind> kind = ParseKind(args.Get("kind", "core"));
+  StatusOr<DecompositionKind> kind = ParseKindName(args.Get("kind", "core"));
   if (!kind.ok()) return Fail(kind.status());
 
   StatusOr<PeelStrategy> peel = ParsePeelStrategy(args.Get("peel", "auto"));
@@ -335,7 +327,7 @@ StatusOr<std::vector<CliqueId>> ParseIdList(const std::string& csv) {
 int CmdQuery(const Args& args) {
   StatusOr<Graph> g = LoadInput(args);
   if (!g.ok()) return Fail(g.status());
-  StatusOr<DecompositionKind> kind = ParseKind(args.Get("kind", "core"));
+  StatusOr<DecompositionKind> kind = ParseKindName(args.Get("kind", "core"));
   if (!kind.ok()) return Fail(kind.status());
   QueryOptions opt;
   opt.radius = args.GetInt("radius", 2);
