@@ -5,6 +5,8 @@
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
+#include <initializer_list>
+#include <span>
 #include <string>
 #include <tuple>
 #include <type_traits>
@@ -152,14 +154,6 @@ struct CoreKind {
                                 const QueryOptions& options) {
     return EstimateCoreNumbers(g, ids, options);
   }
-  // The maintainer's kappa of one live id, and of every id in the order a
-  // fresh index would number them.
-  static Degree KappaOf(const Maintainer& m, const Index&, CliqueId v) {
-    return m.CoreNumbersView()[v];
-  }
-  static std::vector<Degree> KappaInIndexOrder(const Maintainer& m) {
-    return m.CoreNumbersView();
-  }
 };
 
 struct TrussKind {
@@ -183,13 +177,6 @@ struct TrussKind {
                                 std::span<const CliqueId> ids,
                                 const QueryOptions& options) {
     return EstimateTrussNumbers(g, edges, ids, options);
-  }
-  static Degree KappaOf(const Maintainer& m, const Index& edges, CliqueId e) {
-    const auto [u, v] = edges.Endpoints(e);
-    return m.TrussNumberOf(u, v);
-  }
-  static std::vector<Degree> KappaInIndexOrder(const Maintainer& m) {
-    return m.TrussNumbersInIndexOrder();
   }
 };
 
@@ -215,13 +202,6 @@ struct Nucleus34Kind {
                                 std::span<const CliqueId> ids,
                                 const QueryOptions& options) {
     return EstimateNucleus34Numbers(g, tris, ids, options);
-  }
-  static Degree KappaOf(const Maintainer& m, const Index& tris, CliqueId t) {
-    const auto& tri = tris.Vertices(t);
-    return m.Nucleus34NumberOf(tri[0], tri[1], tri[2]);
-  }
-  static std::vector<Degree> KappaInIndexOrder(const Maintainer& m) {
-    return m.Nucleus34NumbersInIndexOrder();
   }
 };
 
@@ -254,11 +234,11 @@ constexpr std::size_t Slot(K) {
 
 // One kind's share of a commit's delta, in that kind's id space: the
 // s-cliques that die and are born, as their member r-clique ids, and the
-// r-clique ids that die with them.
+// r-clique ids that die and are born with them.
 template <std::size_t S>
 struct KindDelta {
   std::vector<std::array<CliqueId, S>> dead, born;
-  std::vector<CliqueId> dead_ids;
+  std::vector<CliqueId> dead_ids, born_ids;
 };
 
 template <std::size_t S>
@@ -270,6 +250,52 @@ std::vector<std::vector<CliqueId>> MembersOf(
     out.emplace_back(members.begin(), members.end());
   }
   return out;
+}
+
+// Kappa of a patched index's live ids in the order a fresh index of the
+// same graph numbers them: lexicographic by vertex tuple, which is how
+// EdgeIndex and TriangleIndex assign pristine ids. Compaction re-seeds its
+// kind's cache with this; it sorts every live id, but compaction is rare.
+template <typename Index>
+std::vector<Degree> KappaInFreshOrder(const Index& index,
+                                      const std::vector<Degree>& kappa) {
+  const auto tuple = [&index](CliqueId id) {
+    if constexpr (std::is_same_v<Index, EdgeIndex>) {
+      return index.Endpoints(id);
+    } else {
+      return index.Vertices(id);
+    }
+  };
+  std::vector<CliqueId> live;
+  live.reserve(kappa.size());
+  for (CliqueId id = 0; id < kappa.size(); ++id) {
+    if (index.IsLive(id)) live.push_back(id);
+  }
+  std::sort(live.begin(), live.end(), [&](CliqueId a, CliqueId b) {
+    return tuple(a) < tuple(b);
+  });
+  std::vector<Degree> out;
+  out.reserve(live.size());
+  for (CliqueId id : live) out.push_back(kappa[id]);
+  return out;
+}
+
+// The largest level a commit's kappa change reaches: max(before, after)
+// over the ids whose value differs, an id past a vector's end reading 0.
+// Only the `candidates` (the ids the maintainer wrote and the ids born in
+// the patched id space) can differ, so only they are compared.
+Degree TouchedLevel(
+    const std::vector<Degree>& before, const std::vector<Degree>& after,
+    std::initializer_list<std::span<const CliqueId>> candidates) {
+  Degree level = 0;
+  for (std::span<const CliqueId> ids : candidates) {
+    for (CliqueId i : ids) {
+      const Degree b = i < before.size() ? before[i] : 0;
+      const Degree a = i < after.size() ? after[i] : 0;
+      if (b != a) level = std::max(level, std::max(b, a));
+    }
+  }
+  return level;
 }
 
 // The reference-returning accessors build with an unstoppable control, so
@@ -813,19 +839,22 @@ NucleusSession::UpdateBatch NucleusSession::BeginUpdates() {
   });
   // Truss / (3,4) maintenance piggybacks on the cached exact kappa — a
   // cold internal decomposition on every BeginUpdates would defeat the
-  // point for callers that never ask for those kinds.
+  // point for callers that never ask for those kinds. Each maintainer gets
+  // its own copy of the index (flat arrays, copied at memory speed) and
+  // takes the kappa copy made above: the batch must not read the session's
+  // index, which another batch's commit patches in place or frees.
   std::optional<DynamicTrussMaintainer> truss_maintainer;
-  if (const auto& truss = kappa[Slot(TrussKind{})]; truss.has_value()) {
+  if (auto& truss = kappa[Slot(TrussKind{})]; truss.has_value()) {
     const EdgeIndex* edges = edge_index_.TryGet();
     if (edges != nullptr && truss->size() == edges->NumEdges()) {
-      truss_maintainer.emplace(*graph_, *edges, *truss);
+      truss_maintainer.emplace(*graph_, *edges, std::move(*truss));
     }
   }
   std::optional<DynamicNucleus34Maintainer> n34_maintainer;
-  if (const auto& n34 = kappa[Slot(Nucleus34Kind{})]; n34.has_value()) {
+  if (auto& n34 = kappa[Slot(Nucleus34Kind{})]; n34.has_value()) {
     const TriangleIndex* tris = triangle_index_.TryGet();
     if (tris != nullptr && n34->size() == tris->NumTriangles()) {
-      n34_maintainer.emplace(*graph_, *tris, *n34);
+      n34_maintainer.emplace(*graph_, *tris, std::move(*n34));
     }
   }
   auto& core = kappa[Slot(CoreKind{})];
@@ -834,7 +863,7 @@ NucleusSession::UpdateBatch NucleusSession::BeginUpdates() {
                        : DynamicCoreMaintainer(*graph_);
   return UpdateBatch(this, std::move(core_maintainer),
                      std::move(truss_maintainer), std::move(n34_maintainer),
-                     commit_epoch_);
+                     commit_epoch_, reset_epoch_);
 }
 
 Status NucleusSession::CommitUpdates(UpdateBatch* batch, RunControl ctl) {
@@ -857,25 +886,33 @@ Status NucleusSession::CommitUpdates(UpdateBatch* batch, RunControl ctl) {
   }
   Status s = PropagateDelta(delta, batch->maintainer_.ToGraph(), *batch, ctl);
   if (!s.ok()) return s;
+  // Their kappa now lives in the session's caches.
+  batch->truss_maintainer_.reset();
+  batch->n34_maintainer_.reset();
   BumpStat(&SessionStats::commits);
   ++commit_epoch_;
   return Status::Ok();
 }
 
 Status NucleusSession::PropagateDelta(const EdgeDelta& delta,
-                                      Graph&& new_graph,
-                                      const UpdateBatch& batch,
+                                      Graph&& new_graph, UpdateBatch& batch,
                                       RunControl ctl) {
-  const std::tuple<const DynamicCoreMaintainer*,
-                   const DynamicTrussMaintainer*,
-                   const DynamicNucleus34Maintainer*>
+  // The truss / (3,4) maintainers index kappa by the ids the session held
+  // at BeginUpdates. Commits in between would have made the batch stale,
+  // so those ids are the session's current ones (patched below) unless an
+  // InvalidateDerivedState dropped them meanwhile.
+  const bool ids_held = batch.reset_epoch_ == reset_epoch_;
+  const std::tuple<DynamicCoreMaintainer*, DynamicTrussMaintainer*,
+                   DynamicNucleus34Maintainer*>
       maintainers{&batch.maintainer_,
-                  batch.truss_maintainer_ ? &*batch.truss_maintainer_
-                                          : nullptr,
-                  batch.n34_maintainer_ ? &*batch.n34_maintainer_ : nullptr};
+                  ids_held && batch.truss_maintainer_
+                      ? &*batch.truss_maintainer_
+                      : nullptr,
+                  ids_held && batch.n34_maintainer_ ? &*batch.n34_maintainer_
+                                                    : nullptr};
   // The kind's maintainer, or null when the batch does not carry one.
   const auto maintainer_of = [&](auto k) {
-    return std::get<const typename decltype(k)::Maintainer*>(maintainers);
+    return std::get<typename decltype(k)::Maintainer*>(maintainers);
   };
   EdgeIndex* eidx = edge_index_.Mutable();
   TriangleIndex* tidx = triangle_index_.Mutable();
@@ -898,6 +935,8 @@ Status NucleusSession::PropagateDelta(const EdgeDelta& delta,
   assert(!patch_truss_arena || eidx != nullptr);
   assert(!patch_n34_arena || tidx != nullptr);
   assert(etc == nullptr || (eidx != nullptr && tidx != nullptr));
+  assert(maintainer_of(TrussKind{}) == nullptr || eidx != nullptr);
+  assert(maintainer_of(Nucleus34Kind{}) == nullptr || tidx != nullptr);
   const bool need_tri_edges =
       eidx != nullptr && (etc != nullptr || patch_truss_arena ||
                           !truss.fly_degrees.empty());
@@ -978,7 +1017,7 @@ Status NucleusSession::PropagateDelta(const EdgeDelta& delta,
   // with) for in-place repair. Repair needs this commit's exact NEW kappa
   // too, so a kind qualifies only when its maintainer ran this batch (the
   // core maintainer always does) over a patched id space; unqualified
-  // hierarchies die with the result-cell reset in stage 6. (Runs after
+  // hierarchies die with the result-cell reset after stage 6.5. (Runs after
   // the fallible stage 1: the moves out of the result cells are
   // themselves cache mutations.)
   std::unique_ptr<NucleusHierarchy> old_hierarchy[3];
@@ -1004,11 +1043,10 @@ Status NucleusSession::PropagateDelta(const EdgeDelta& delta,
   // and resolve the born s-cliques' member ids against them. The (1,2)
   // s-cliques are the delta's edges themselves.
   if (eidx != nullptr) {
-    eidx->ApplyDelta(delta.removed, delta.inserted);
+    truss_delta.born_ids = eidx->ApplyDelta(delta.removed, delta.inserted);
   }
-  std::vector<TriangleId> born_tri_ids;
   if (tidx != nullptr) {
-    born_tri_ids = tidx->ApplyDelta(tdelta.dead, tdelta.born);
+    n34_delta.born_ids = tidx->ApplyDelta(tdelta.dead, tdelta.born);
   }
   if (need_tri_edges) {
     truss_delta.born.reserve(tdelta.born.size());
@@ -1044,7 +1082,7 @@ Status NucleusSession::PropagateDelta(const EdgeDelta& delta,
         };
     etc->ApplyDelta(
         to_patches(tdelta.dead, n34_delta.dead_ids, truss_delta.dead),
-        to_patches(tdelta.born, born_tri_ids, truss_delta.born),
+        to_patches(tdelta.born, n34_delta.born_ids, truss_delta.born),
         truss_delta.dead_ids, eidx->NumEdges());
   }
 
@@ -1089,63 +1127,47 @@ Status NucleusSession::PropagateDelta(const EdgeDelta& delta,
     }
   });
 
-  // Stage 6: result caches. Every kind whose maintainer ran is re-seeded
-  // with the exact post-delta kappa — (1,2) always (the core maintainer's
-  // locally-repaired numbers ARE the exact kappa of the mutated graph),
-  // (2,3)/(3,4) when the batch carried those maintainers; tau caches
-  // restart cold, and hierarchies are repaired in stage 6.5 below.
+  // Stage 6: the new exact kappa of every kind whose maintainer ran —
+  // (1,2) always (the core maintainer's locally-repaired numbers ARE the
+  // exact kappa of the mutated graph), (2,3)/(3,4) when the batch carried
+  // those maintainers. Theirs are indexed by the ids patched in stage 3,
+  // so the vector moves over as is: born ids filled from the side store,
+  // dead ids at 0. For a kind whose hierarchy is repaired, the touched
+  // level comes from the ids that can have changed: those the maintainer
+  // wrote (dead ones included) and those born in the patched id space.
   std::vector<Degree> new_kappa[3];
+  Degree touched[3] = {0, 0, 0};
   ForEachKind([&](auto k) {
     using K = decltype(k);
-    const typename K::Maintainer* m = maintainer_of(k);
-    std::vector<Degree>& kappa = new_kappa[Slot(k)];
-    if (m != nullptr) {
-      if (const typename K::Index* index = index_of(k); index != nullptr) {
-        const typename K::Space space = K::MakeSpace(*graph_, *index);
-        kappa.assign(space.NumRCliques(), 0);
-        for (CliqueId id = 0; id < kappa.size(); ++id) {
-          if (space.IsLiveR(id)) kappa[id] = K::KappaOf(*m, *index, id);
-        }
-      } else {
-        // No index to patch: a later call builds a fresh index whose
-        // lexicographic id order is exactly the maintainer's export order.
-        kappa = K::KappaInIndexOrder(*m);
-      }
+    auto* m = maintainer_of(k);
+    if (m == nullptr) return;
+    const std::size_t slot = Slot(k);
+    if constexpr (K::kTombstones) {
+      new_kappa[slot] = m->TakeKappa(*index_of(k));
+    } else {
+      new_kappa[slot] = m->CoreNumbersView();
     }
-    ResultCell& cell = State(k);
-    std::lock_guard<std::mutex> clk(cell.mu);
-    cell.ResetResults();
-    if (m != nullptr) {
-      cell.kappa = kappa;
-      if constexpr (K::kKappaSeeds != nullptr) BumpStat(K::kKappaSeeds);
+    if (old_hierarchy[slot]) {
+      touched[slot] =
+          TouchedLevel(old_kappa[slot], new_kappa[slot],
+                       {m->ChangedIds(),
+                        std::get<KindDelta<K::kS>>(deltas).born_ids});
     }
   });
 
-  // Stage 6.5: localized hierarchy repair. The touched-level bound is the
-  // largest level any kappa change / born id / dead id reaches (born ids
-  // enter the old-vs-new diff as 0 -> kappa, dead ids as kappa -> 0).
-  // Everything above the bound is spliced from the old forest; everything
-  // at or below is re-swept from the new kappa. The repair re-sweeps per
-  // member, so an uncompressed arena (already patched in stage 5) serves
-  // it by contiguous scans instead of per-member intersections and id
-  // lookups; the fly space otherwise.
-  const auto touched_level = [](const std::vector<Degree>& before,
-                                const std::vector<Degree>& after) {
-    Degree level = 0;
-    const std::size_t n = std::max(before.size(), after.size());
-    for (std::size_t i = 0; i < n; ++i) {
-      const Degree b = i < before.size() ? before[i] : 0;
-      const Degree a = i < after.size() ? after[i] : 0;
-      if (b != a) level = std::max(level, std::max(b, a));
-    }
-    return level;
-  };
+  // Stage 6.5: localized hierarchy repair. Everything above the touched
+  // level is spliced from the old forest; everything at or below is
+  // re-swept from the new kappa. The repair re-sweeps per member, so an
+  // uncompressed arena (already patched in stage 5) serves it by
+  // contiguous scans instead of per-member intersections and id lookups;
+  // the fly space otherwise.
+  std::unique_ptr<NucleusHierarchy> repaired[3];
   ForEachKind([&](auto k) {
     using K = decltype(k);
     const std::size_t slot = Slot(k);
     if (!old_hierarchy[slot]) return;
     const std::vector<Degree>& kappa = new_kappa[slot];
-    Degree level = touched_level(old_kappa[slot], kappa);
+    Degree level = touched[slot];
     if constexpr (!K::kTombstones) {
       // No r-clique of this space dies or is born, so a delta s-clique can
       // re-link equal-kappa components with no kappa change at all: its
@@ -1165,16 +1187,31 @@ Status NucleusSession::PropagateDelta(const EdgeDelta& delta,
         level = std::max(level, min_level(s, old_kappa[slot]));
       }
     }
-    KindState<typename K::Space>& st = State(k);
+    const KindState<typename K::Space>& st = State(k);
     const typename K::Space space = K::MakeSpace(*graph_, *index_of(k));
-    NucleusHierarchy repaired =
+    repaired[slot] = std::make_unique<NucleusHierarchy>(
         st.arena ? RepairHierarchy(*st.arena, *old_hierarchy[slot], kappa,
                                    space.LiveRFlags(), level)
                  : RepairHierarchy(space, *old_hierarchy[slot], kappa,
-                                   space.LiveRFlags(), level);
-    std::lock_guard<std::mutex> clk(st.mu);
-    st.hierarchy = std::make_unique<NucleusHierarchy>(std::move(repaired));
-    BumpStat(&SessionStats::hierarchy_repairs);
+                                   space.LiveRFlags(), level));
+  });
+
+  // Install the result caches: tau caches restart cold, kappa is re-seeded
+  // where a maintainer ran, and the repaired hierarchies go in.
+  ForEachKind([&](auto k) {
+    using K = decltype(k);
+    const std::size_t slot = Slot(k);
+    ResultCell& cell = State(k);
+    std::lock_guard<std::mutex> clk(cell.mu);
+    cell.ResetResults();
+    if (maintainer_of(k) != nullptr) {
+      cell.kappa = std::move(new_kappa[slot]);
+      if constexpr (K::kKappaSeeds != nullptr) BumpStat(K::kKappaSeeds);
+    }
+    if (repaired[slot]) {
+      cell.hierarchy = std::move(repaired[slot]);
+      BumpStat(&SessionStats::hierarchy_repairs);
+    }
   });
 
   // Stage 7: compaction. Patching keeps commits O(delta) but leaves
@@ -1183,39 +1220,45 @@ Status NucleusSession::PropagateDelta(const EdgeDelta& delta,
   // is a cheap linear scan done eagerly; the triangle layer drops lazily —
   // its rebuild is the expensive enumeration and the next (3,4) caller
   // pays it. Either way the kind on top of the layer drops its state and
-  // re-seeds kappa in the fresh lexicographic id order, so the
-  // maintainer's exact values survive the re-densify; its hierarchy goes
-  // too, since its members are ids of the retired id space.
-  const auto compact = [&](auto k) {
-    using K = decltype(k);
-    KindState<typename K::Space>& st = State(k);
-    st.Reset();
-    if (const typename K::Maintainer* m = maintainer_of(k); m != nullptr) {
+  // re-seeds kappa in the fresh lexicographic id order, read off the
+  // patched index before it goes, so the exact values survive the
+  // re-densify; its hierarchy goes too, since its members are ids of the
+  // retired id space.
+  const auto compact = [&](auto k, const auto& patched) {
+    KindState<typename decltype(k)::Space>& st = State(k);
+    std::optional<std::vector<Degree>> fresh;
+    {
       std::lock_guard<std::mutex> clk(st.mu);
-      st.kappa = K::KappaInIndexOrder(*m);
+      if (st.kappa.has_value()) fresh = KappaInFreshOrder(patched, *st.kappa);
+    }
+    st.Reset();
+    if (fresh.has_value()) {
+      std::lock_guard<std::mutex> clk(st.mu);
+      st.kappa = std::move(fresh);
     }
     BumpStat(&SessionStats::compactions);
   };
   if (eidx != nullptr &&
       eidx->NumEdges() - eidx->NumLiveEdges() >= kMinDeadForCompaction &&
       eidx->DeadFraction() > kDeadFractionForCompaction) {
+    compact(TrussKind{}, *eidx);
     edge_index_.Install(EdgeIndex(*graph_));
     BumpStat(&SessionStats::edge_index_builds);
     edge_triangle_csr_.Reset();
-    compact(TrussKind{});
   }
   if (tidx != nullptr &&
       tidx->NumTriangles() - tidx->NumLiveTriangles() >=
           kMinDeadForCompaction &&
       tidx->DeadFraction() > kDeadFractionForCompaction) {
+    compact(Nucleus34Kind{}, *tidx);
     triangle_index_.Reset();
     edge_triangle_csr_.Reset();
-    compact(Nucleus34Kind{});
   }
   return Status::Ok();
 }
 
 void NucleusSession::ResetDerivedState() {
+  ++reset_epoch_;
   ForEachKind([&](auto k) { State(k).Reset(); });
   edge_triangle_csr_.Reset();
   edge_index_.Reset();

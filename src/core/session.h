@@ -35,20 +35,23 @@
 // TriangleIndex, EdgeTriangleCsr, and the CSR co-member arenas — and the
 // kappa caches are re-seeded from the exact dynamic maintainers
 // (DynamicCoreMaintainer for (1,2), DynamicTrussMaintainer for (2,3),
-// DynamicNucleus34Maintainer for (3,4)), so after a small commit the next
-// Decompose of ANY kind is a cache hit with ZERO rebuilds. Cached
-// hierarchies are repaired in place too (RepairHierarchy re-links only the
-// levels the delta touched, splicing the untouched top of the forest; the
-// result is bitwise-equal to a full rebuild and counted in
-// SessionStats::hierarchy_repairs) whenever the space's maintainer ran
-// this commit — otherwise they drop and the next Hierarchy() rebuilds.
+// DynamicNucleus34Maintainer for (3,4)), which keep kappa indexed by the
+// session's ids so the commit installs their vectors directly (see
+// UpdateBatch). After a small commit the next Decompose of ANY kind is a
+// cache hit with ZERO rebuilds. Cached hierarchies are repaired in place
+// too (RepairHierarchy re-links only the levels the delta touched — found
+// from the ids the batch changed, not by scanning the whole kappa vector —
+// splicing the untouched top of the forest; the result is bitwise-equal
+// to a full rebuild and counted in SessionStats::hierarchy_repairs)
+// whenever the space's maintainer ran this commit — otherwise they drop
+// and the next Hierarchy() rebuilds.
 // Patched indices keep tombstoned ids addressable (kappa vectors are
 // indexed by the id space, dead ids pinned at 0; see
 // EdgeIndex::NumLiveEdges); once the tombstone fraction of an id space
 // crosses kDeadFractionForCompaction the commit compacts that layer
-// (counted in SessionStats::compactions), re-exporting the (2,3)/(3,4)
-// kappa seeds in the fresh index order so maintainer state survives the id
-// re-densify.
+// (counted in SessionStats::compactions), re-ordering the (2,3)/(3,4)
+// kappa seeds into the fresh index order (a sort of the live ids by vertex
+// tuple) so the exact values survive the id re-densify.
 //
 // Error handling: the session boundary never throws on malformed input —
 // every entry point returns Status / StatusOr (see common/status.h).
@@ -344,10 +347,24 @@ class NucleusSession {
 
   /// A mutation handle over the session's graph: insert/remove edges with
   /// exact local repair of core numbers (DynamicCoreMaintainer) and — when
-  /// the session holds exact (2,3) kappa — of truss numbers
-  /// (DynamicTrussMaintainer), then Commit() to publish the mutated graph
-  /// back into the session with incremental delta propagation (see the
-  /// mutation-path comment at the top). An uncommitted batch is discarded.
+  /// the session holds exact (2,3) / (3,4) kappa and the index it is
+  /// indexed by — of truss numbers (DynamicTrussMaintainer) and kappa_4
+  /// (DynamicNucleus34Maintainer), then Commit() to publish the mutated
+  /// graph back into the session with incremental delta propagation (see
+  /// the mutation-path comment at the top). An uncommitted batch is
+  /// discarded.
+  ///
+  /// The truss and (3,4) maintainers keep kappa in a vector indexed by
+  /// the session's edge / triangle ids (the base), written in place, plus
+  /// a small side store for the edges and triangles born inside the batch.
+  /// Isolation: BeginUpdates gives each maintainer its own copy of the
+  /// index and of the cached kappa, because another batch's commit patches
+  /// the session's index in place and a compaction frees it; a batch never
+  /// reads session state after BeginUpdates. Commit moves the vector into
+  /// the kappa cache once the session's index is patched (born ids filled
+  /// from the side store), so after a successful Commit the batch no
+  /// longer maintains truss or (3,4) (MaintainsTruss() and
+  /// MaintainsNucleus34() turn false).
   class UpdateBatch {
    public:
     /// Move transfers the handle; the moved-from batch can no longer
@@ -359,6 +376,7 @@ class NucleusSession {
           n34_maintainer_(std::move(other.n34_maintainer_)),
           net_(std::move(other.net_)),
           epoch_(other.epoch_),
+          reset_epoch_(other.reset_epoch_),
           mutations_(other.mutations_),
           committed_(other.committed_) {
       other.session_ = nullptr;
@@ -431,15 +449,16 @@ class NucleusSession {
     UpdateBatch(NucleusSession* session, DynamicCoreMaintainer maintainer,
                 std::optional<DynamicTrussMaintainer> truss_maintainer,
                 std::optional<DynamicNucleus34Maintainer> n34_maintainer,
-                std::uint64_t epoch)
+                std::uint64_t epoch, std::uint64_t reset_epoch)
         : session_(session),
           maintainer_(std::move(maintainer)),
           truss_maintainer_(std::move(truss_maintainer)),
           n34_maintainer_(std::move(n34_maintainer)),
-          epoch_(epoch) {}
+          epoch_(epoch),
+          reset_epoch_(reset_epoch) {}
 
-    // Normalized endpoint-pair key for net_ (same encoding as
-    // EdgeIndex/DynamicTrussMaintainer use internally).
+    // Normalized endpoint-pair key for net_ (the encoding EdgeIndex's
+    // overlay uses internally).
     static std::uint64_t PairKey(VertexId u, VertexId v) {
       if (u > v) std::swap(u, v);
       return (static_cast<std::uint64_t>(u) << 32) | v;
@@ -454,6 +473,9 @@ class NucleusSession {
     std::optional<DynamicNucleus34Maintainer> n34_maintainer_;
     std::unordered_map<std::uint64_t, bool> net_;  // key -> inserted
     std::uint64_t epoch_ = 0;  // graph epoch this batch branched from
+    // Session reset epoch at branch time: the ids the truss / (3,4)
+    // maintainers index by name the session's ids only while it holds.
+    std::uint64_t reset_epoch_ = 0;
     std::size_t mutations_ = 0;
     bool committed_ = false;
   };
@@ -619,13 +641,14 @@ class NucleusSession {
 
   Status CommitUpdates(UpdateBatch* batch, RunControl ctl);
   // The delta-propagation pipeline (caller holds session_mu_ exclusively).
-  // Reads the batch's maintainers for the new kappa seeds and hierarchy
-  // repairs; `new_graph` is the maintainer-materialized post-delta graph.
+  // Takes the new kappa seeds out of the batch's maintainers and reads
+  // what they changed for the hierarchy repairs; `new_graph` is the
+  // maintainer-materialized post-delta graph.
   // Staged apply: every fallible step (cancellable delta enumeration,
   // injected fault points) precedes the first cache mutation — a non-OK
   // return leaves every layer untouched.
   Status PropagateDelta(const EdgeDelta& delta, Graph&& new_graph,
-                        const UpdateBatch& batch, RunControl ctl);
+                        UpdateBatch& batch, RunControl ctl);
   void ResetDerivedState();
   void BumpStat(std::uint64_t SessionStats::* field);
 
@@ -649,6 +672,10 @@ class NucleusSession {
   // newer batch's mutations. Guarded by session_mu_ (read shared in
   // BeginUpdates, written exclusive in Commit).
   std::uint64_t commit_epoch_ = 0;
+  // Bumped by InvalidateDerivedState, which drops the indices outright: a
+  // later rebuild may number ids differently, so batches branched before
+  // it cannot seed kappa by id (guarded like commit_epoch_).
+  std::uint64_t reset_epoch_ = 0;
   mutable std::mutex stats_mu_;
   SessionStats stats_;
 };

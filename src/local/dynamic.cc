@@ -2,146 +2,78 @@
 
 #include <algorithm>
 #include <cassert>
-#include <queue>
 
-#include "src/common/h_index.h"
 #include "src/peel/kcore.h"
 
 namespace nucleus {
 
 DynamicCoreMaintainer::DynamicCoreMaintainer(const Graph& g)
-    : adj_(g.NumVertices()), num_edges_(g.NumEdges()) {
-  for (VertexId v = 0; v < g.NumVertices(); ++v) {
-    adj_[v].assign(g.Neighbors(v).begin(), g.Neighbors(v).end());
-  }
-  kappa_ = CoreNumbers(g);
-}
+    : graph_(g), kappa_(CoreNumbers(g)) {}
 
 DynamicCoreMaintainer::DynamicCoreMaintainer(const Graph& g,
                                              std::vector<Degree> kappa)
-    : adj_(g.NumVertices()),
-      kappa_(std::move(kappa)),
-      num_edges_(g.NumEdges()) {
-  assert(kappa_.size() == g.NumVertices());
-  for (VertexId v = 0; v < g.NumVertices(); ++v) {
-    adj_[v].assign(g.Neighbors(v).begin(), g.Neighbors(v).end());
-  }
+    : graph_(g), kappa_(std::move(kappa)) {
+  assert(kappa_.NumBaseIds() == g.NumVertices());
 }
 
 DynamicCoreMaintainer::DynamicCoreMaintainer(std::size_t n)
-    : adj_(n), kappa_(n, 0) {}
-
-bool DynamicCoreMaintainer::HasEdgeInternal(VertexId u, VertexId v) const {
-  const auto& a = adj_[u].size() <= adj_[v].size() ? adj_[u] : adj_[v];
-  const VertexId target = adj_[u].size() <= adj_[v].size() ? v : u;
-  return std::binary_search(a.begin(), a.end(), target);
-}
+    : graph_(n), kappa_(std::vector<Degree>(n, 0)) {}
 
 bool DynamicCoreMaintainer::InsertEdge(VertexId u, VertexId v) {
-  if (u == v || u >= adj_.size() || v >= adj_.size()) return false;
-  if (HasEdgeInternal(u, v)) return false;
-  adj_[u].insert(std::lower_bound(adj_[u].begin(), adj_[u].end(), v), v);
-  adj_[v].insert(std::lower_bound(adj_[v].begin(), adj_[v].end(), u), u);
-  ++num_edges_;
+  if (!graph_.Insert(u, v)) return false;
 
   // Only the k-subcore reachable from the endpoints through kappa == k
   // vertices (k = min endpoint kappa) can rise, and by at most one. Build
   // the new upper bound by bumping exactly that region.
   const Degree k = std::min(kappa_[u], kappa_[v]);
-  std::vector<VertexId> region;
-  std::vector<bool> in_region(adj_.size(), false);
-  std::queue<VertexId> frontier;
+  std::vector<CliqueId> region;
+  std::vector<bool> in_region(NumVertices(), false);
   for (VertexId s : {u, v}) {
     if (kappa_[s] == k && !in_region[s]) {
       in_region[s] = true;
-      frontier.push(s);
       region.push_back(s);
     }
   }
-  while (!frontier.empty()) {
-    const VertexId x = frontier.front();
-    frontier.pop();
-    for (VertexId y : adj_[x]) {
+  for (std::size_t head = 0; head < region.size(); ++head) {
+    for (VertexId y : graph_.Neighbors(region[head])) {
       if (kappa_[y] == k && !in_region[y]) {
         in_region[y] = true;
-        frontier.push(y);
         region.push_back(y);
       }
     }
   }
-  for (VertexId x : region) {
-    kappa_[x] = std::min<Degree>(static_cast<Degree>(adj_[x].size()),
-                                 kappa_[x] + 1);
+  for (CliqueId x : region) {
+    kappa_.Set(x, std::min<Degree>(GetDegree(x), kappa_[x] + 1));
   }
   Repair(std::move(region));
   return true;
 }
 
 bool DynamicCoreMaintainer::RemoveEdge(VertexId u, VertexId v) {
-  if (u == v || u >= adj_.size() || v >= adj_.size()) return false;
-  if (!HasEdgeInternal(u, v)) return false;
-  adj_[u].erase(std::lower_bound(adj_[u].begin(), adj_[u].end(), v));
-  adj_[v].erase(std::lower_bound(adj_[v].begin(), adj_[v].end(), u));
-  --num_edges_;
-
+  if (!graph_.Erase(u, v)) return false;
   // Deletion can only lower kappa; the old values clamped to the new
   // degrees are a valid upper bound to repair from.
   for (VertexId s : {u, v}) {
-    kappa_[s] =
-        std::min<Degree>(kappa_[s], static_cast<Degree>(adj_[s].size()));
+    kappa_.Set(s, std::min<Degree>(kappa_[s], GetDegree(s)));
   }
   Repair({u, v});
   return true;
 }
 
-void DynamicCoreMaintainer::Repair(std::vector<VertexId> seeds) {
-  last_repair_work_ = 0;
-  std::vector<bool> queued(adj_.size(), false);
-  std::queue<VertexId> work;
-  auto push = [&](VertexId x) {
-    if (!queued[x]) {
-      queued[x] = true;
-      work.push(x);
-    }
-  };
-  for (VertexId s : seeds) push(s);
-  // Also the seeds' neighbors: their h-index inputs changed.
-  for (VertexId s : seeds) {
-    for (VertexId y : adj_[s]) push(y);
+void DynamicCoreMaintainer::Repair(std::vector<CliqueId> seeds) {
+  // The seeds' neighbors are seeds too: their h-index inputs changed.
+  const std::size_t n = seeds.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    for (VertexId y : graph_.Neighbors(seeds[i])) seeds.push_back(y);
   }
-  HIndexScratch scratch;
-  while (!work.empty()) {
-    const VertexId x = work.front();
-    work.pop();
-    queued[x] = false;
-    ++last_repair_work_;
-    auto& rhos = scratch.values();
-    rhos.clear();
-    for (VertexId y : adj_[x]) {
-      rhos.push_back(std::min(kappa_[y], kappa_[x]));
-    }
-    // For the core instance rho(edge {x,y}) = tau(y); clamping by tau(x)
-    // inside the list does not change H because H <= tau(x) candidates
-    // only. New value can only be <= current (monotone repair).
-    const Degree h = std::min<Degree>(scratch.Compute(), kappa_[x]);
-    if (h != kappa_[x]) {
-      kappa_[x] = h;
-      for (VertexId y : adj_[x]) push(y);
-    }
-  }
-}
-
-Graph DynamicCoreMaintainer::ToGraph() const {
-  std::vector<std::size_t> offsets(adj_.size() + 1, 0);
-  for (std::size_t v = 0; v < adj_.size(); ++v) {
-    offsets[v + 1] = offsets[v] + adj_[v].size();
-  }
-  std::vector<VertexId> neighbors;
-  neighbors.reserve(offsets.back());
-  for (const auto& a : adj_) {
-    neighbors.insert(neighbors.end(), a.begin(), a.end());
-  }
-  return Graph(std::move(offsets), std::move(neighbors));
+  // For the core instance rho(edge {x,y}) = tau(y).
+  last_repair_work_ =
+      kappa_.Repair(seeds, [&](CliqueId x, auto&& fn) {
+        for (VertexId y : graph_.Neighbors(x)) {
+          const CliqueId co[1] = {y};
+          fn(std::span<const CliqueId>(co, 1));
+        }
+      });
 }
 
 }  // namespace nucleus

@@ -19,10 +19,12 @@
 #define NUCLEUS_LOCAL_DYNAMIC_H_
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "src/common/types.h"
 #include "src/graph/graph.h"
+#include "src/local/dynamic_state.h"
 
 namespace nucleus {
 
@@ -49,32 +51,38 @@ class DynamicCoreMaintainer {
   bool RemoveEdge(VertexId u, VertexId v);
 
   /// Current exact core numbers.
-  const std::vector<Degree>& CoreNumbersView() const { return kappa_; }
+  const std::vector<Degree>& CoreNumbersView() const {
+    return kappa_.values();
+  }
+
+  /// Vertices whose core number was written since construction (each
+  /// once; a superset of those whose value changed).
+  std::span<const CliqueId> ChangedIds() const {
+    return kappa_.ChangedIds();
+  }
 
   /// Current degree of v.
   Degree GetDegree(VertexId v) const {
-    return static_cast<Degree>(adj_[v].size());
+    return static_cast<Degree>(graph_.Neighbors(v).size());
   }
 
-  std::size_t NumVertices() const { return adj_.size(); }
-  std::size_t NumEdges() const { return num_edges_; }
+  std::size_t NumVertices() const { return graph_.NumVertices(); }
+  std::size_t NumEdges() const { return graph_.NumEdges(); }
 
   /// Vertices whose tau was recomputed during the last mutation (work
   /// measure; the point of locality is that this stays small).
   std::size_t LastRepairWork() const { return last_repair_work_; }
 
   /// Materializes the current graph as an immutable CSR Graph.
-  Graph ToGraph() const;
+  Graph ToGraph() const { return graph_.ToGraph(); }
 
  private:
-  bool HasEdgeInternal(VertexId u, VertexId v) const;
-  // Runs the worklist repair from the given seeds; tau_ must be a valid
-  // upper bound (kappa <= tau <= degree) when called.
-  void Repair(std::vector<VertexId> seeds);
+  // Runs the worklist repair from the given seeds and their neighbors;
+  // kappa_ must be a valid upper bound (kappa <= tau <= degree) on entry.
+  void Repair(std::vector<CliqueId> seeds);
 
-  std::vector<std::vector<VertexId>> adj_;  // sorted adjacency lists
-  std::vector<Degree> kappa_;
-  std::size_t num_edges_ = 0;
+  WorkingGraph graph_;
+  KappaStore<1> kappa_;
   std::size_t last_repair_work_ = 0;
 };
 

@@ -1,246 +1,155 @@
 #include "src/local/dynamic_nucleus34.h"
 
 #include <algorithm>
-#include <queue>
-#include <unordered_set>
 #include <utility>
 
 #include "src/clique/intersect.h"
-#include "src/clique/triangles.h"
-#include "src/common/h_index.h"
 #include "src/peel/nucleus34.h"
 
 namespace nucleus {
 
 namespace {
 
-template <typename Fn>
-void Common2(const std::vector<VertexId>& a, const std::vector<VertexId>& b,
-             Fn&& fn) {
-  ForEachCommon(std::span<const VertexId>(a.data(), a.size()),
-                std::span<const VertexId>(b.data(), b.size()),
-                std::forward<Fn>(fn));
-}
-
-template <typename Fn>
-void Common3(const std::vector<VertexId>& a, const std::vector<VertexId>& b,
-             const std::vector<VertexId>& c, Fn&& fn) {
-  ForEachCommon3(std::span<const VertexId>(a.data(), a.size()),
-                 std::span<const VertexId>(b.data(), b.size()),
-                 std::span<const VertexId>(c.data(), c.size()),
-                 std::forward<Fn>(fn));
-}
-
-}  // namespace
-
-DynamicNucleus34Maintainer::Triple DynamicNucleus34Maintainer::Sorted(
-    VertexId a, VertexId b, VertexId c) {
-  Triple t = {a, b, c};
+std::array<VertexId, 3> SortedTriple(VertexId a, VertexId b, VertexId c) {
+  std::array<VertexId, 3> t = {a, b, c};
   std::sort(t.begin(), t.end());
   return t;
 }
 
+}  // namespace
+
 DynamicNucleus34Maintainer::DynamicNucleus34Maintainer(const Graph& g)
-    : adj_(g.NumVertices()), num_edges_(g.NumEdges()) {
-  for (VertexId v = 0; v < g.NumVertices(); ++v) {
-    adj_[v].assign(g.Neighbors(v).begin(), g.Neighbors(v).end());
-  }
-  const TriangleIndex tris(g);
-  const auto kappa = Nucleus34Numbers(g, tris);
-  kappa_.reserve(tris.NumTriangles() * 2);
-  for (TriangleId t = 0; t < tris.NumTriangles(); ++t) {
-    kappa_[tris.Vertices(t)] = kappa[t];
-  }
-}
+    : graph_(g),
+      base_(g),
+      kappa_(Nucleus34Numbers(g, base_)),
+      num_triangles_(base_.NumTriangles()) {}
 
 DynamicNucleus34Maintainer::DynamicNucleus34Maintainer(
-    const Graph& g, const TriangleIndex& tris, std::span<const Degree> kappa)
-    : adj_(g.NumVertices()), num_edges_(g.NumEdges()) {
-  for (VertexId v = 0; v < g.NumVertices(); ++v) {
-    adj_[v].assign(g.Neighbors(v).begin(), g.Neighbors(v).end());
-  }
-  kappa_.reserve(tris.NumLiveTriangles() * 2);
-  for (TriangleId t = 0; t < tris.NumTriangles(); ++t) {
-    if (!tris.IsLive(t)) continue;
-    kappa_[tris.Vertices(t)] = kappa[t];
-  }
-}
+    const Graph& g, TriangleIndex tris, std::vector<Degree> kappa)
+    : graph_(g),
+      base_(std::move(tris)),
+      kappa_(std::move(kappa)),
+      num_triangles_(base_.NumLiveTriangles()) {}
 
 DynamicNucleus34Maintainer::DynamicNucleus34Maintainer(std::size_t n)
-    : adj_(n) {}
+    : graph_(n), base_(graph_.ToGraph()), kappa_(std::vector<Degree>{}) {}
 
-bool DynamicNucleus34Maintainer::HasEdgeInternal(VertexId u,
-                                                 VertexId v) const {
-  const auto& a = adj_[u].size() <= adj_[v].size() ? adj_[u] : adj_[v];
-  const VertexId target = adj_[u].size() <= adj_[v].size() ? v : u;
-  return std::binary_search(a.begin(), a.end(), target);
+CliqueId DynamicNucleus34Maintainer::IdOf(VertexId a, VertexId b,
+                                          VertexId c) const {
+  const TriangleId t = base_.TriangleIdOf(a, b, c);
+  return t != kInvalidTriangle ? t : kappa_.FindBorn(SortedTriple(a, b, c));
 }
 
-Degree DynamicNucleus34Maintainer::QuadCount(VertexId a, VertexId b,
-                                             VertexId c) const {
+DynamicNucleus34Maintainer::Triple DynamicNucleus34Maintainer::Vertices(
+    CliqueId t) const {
+  return t >= kappa_.NumBaseIds() ? kappa_.BornTuple(t) : base_.Vertices(t);
+}
+
+Degree DynamicNucleus34Maintainer::QuadCount(const Triple& t) const {
   Degree count = 0;
-  Common3(adj_[a], adj_[b], adj_[c], [&](VertexId) { ++count; });
+  ForEachCommon3(graph_.Neighbors(t[0]), graph_.Neighbors(t[1]),
+                 graph_.Neighbors(t[2]), [&](VertexId) { ++count; });
   return count;
+}
+
+template <typename Fn>
+void DynamicNucleus34Maintainer::ForEachFourClique(CliqueId t,
+                                                   Fn&& fn) const {
+  const Triple v = Vertices(t);
+  ForEachCommon3(graph_.Neighbors(v[0]), graph_.Neighbors(v[1]),
+                 graph_.Neighbors(v[2]), [&](VertexId x) {
+                   const CliqueId co[3] = {IdOf(v[0], v[1], x),
+                                           IdOf(v[0], v[2], x),
+                                           IdOf(v[1], v[2], x)};
+                   fn(std::span<const CliqueId>(co, 3));
+                 });
 }
 
 Degree DynamicNucleus34Maintainer::Nucleus34NumberOf(VertexId u, VertexId v,
                                                      VertexId w) const {
-  const auto it = kappa_.find(Sorted(u, v, w));
-  return it == kappa_.end() ? kInvalidClique : it->second;
+  if (!graph_.HasEdge(u, v) || !graph_.HasEdge(u, w) ||
+      !graph_.HasEdge(v, w)) {
+    return kInvalidClique;
+  }
+  return kappa_[IdOf(u, v, w)];
 }
 
 bool DynamicNucleus34Maintainer::InsertEdge(VertexId u, VertexId v) {
-  if (u == v || u >= adj_.size() || v >= adj_.size()) return false;
-  if (HasEdgeInternal(u, v)) return false;
-  adj_[u].insert(std::lower_bound(adj_[u].begin(), adj_[u].end(), v), v);
-  adj_[v].insert(std::lower_bound(adj_[v].begin(), adj_[v].end(), u), u);
-  ++num_edges_;
+  if (!graph_.Insert(u, v)) return false;
+  const auto for_each = [this](CliqueId t, auto&& fn) {
+    ForEachFourClique(t, fn);
+  };
 
-  // Born triangles all contain {u, v}: one per common neighbor. They start
-  // from their 4-clique count (valid upper bound); the largest of those
-  // counts caps how high any old triangle can have risen.
-  std::vector<Triple> born;
-  Common2(adj_[u], adj_[v],
-          [&](VertexId w) { born.push_back(Sorted(u, v, w)); });
+  // Born triangles all contain {u, v}: one per common neighbor. Each takes
+  // back its base id when it died earlier in the batch, else a side-store
+  // slot. They start from their 4-clique count (valid upper bound); the
+  // largest of those counts caps how high any old triangle can have risen.
+  std::vector<CliqueId> born;
+  ForEachCommon(graph_.Neighbors(u), graph_.Neighbors(v), [&](VertexId w) {
+    const TriangleId t = base_.TriangleIdOf(u, v, w);
+    born.push_back(t != kInvalidTriangle ? t
+                                         : kappa_.Born(SortedTriple(u, v, w)));
+  });
+  last_repair_work_ = 0;
   if (born.empty()) return true;  // no new triangles => no new 4-cliques
+  num_triangles_ += born.size();
   Degree max_born_d4 = 0;
-  for (const Triple& t : born) {
-    const Degree d4 = QuadCount(t[0], t[1], t[2]);
-    kappa_[t] = d4;
+  for (CliqueId t : born) {
+    const Degree d4 = QuadCount(Vertices(t));
+    kappa_.Set(t, d4);
     max_born_d4 = std::max(max_born_d4, d4);
   }
 
   // Per-level multi-source 4-clique-BFS from the born triangles: at level
   // m, traverse 4-cliques whose triangles all have kappa >= m (born ones
   // carry their d_4 seed); old triangles with kappa == m found this way
-  // are the only candidates that may rise to m+1. Bumps are recorded
-  // first (the BFS must see the *old* values) and applied afterwards.
-  std::unordered_set<Triple, TripleHash> born_set(born.begin(), born.end());
-  std::unordered_set<Triple, TripleHash> bumped;
-  for (Degree m = 0; m < max_born_d4; ++m) {
-    std::unordered_set<Triple, TripleHash> visited;
-    std::queue<Triple> frontier;
-    for (const Triple& t : born) {
-      if (kappa_.at(t) >= m && visited.insert(t).second) frontier.push(t);
-    }
-    while (!frontier.empty()) {
-      const Triple t = frontier.front();
-      frontier.pop();
-      Common3(adj_[t[0]], adj_[t[1]], adj_[t[2]], [&](VertexId x) {
-        const Triple co[3] = {Sorted(t[0], t[1], x), Sorted(t[0], t[2], x),
-                              Sorted(t[1], t[2], x)};
-        // Traverse this 4-clique only if every co-triangle still
-        // qualifies (kappa >= m, old values for old triangles).
-        for (const Triple& c : co) {
-          if (kappa_.at(c) < m) return;
-        }
-        for (const Triple& c : co) {
-          if (visited.insert(c).second) {
-            if (!born_set.count(c) && kappa_.at(c) == m) bumped.insert(c);
-            frontier.push(c);
-          }
-        }
-      });
-    }
-  }
-  std::vector<Triple> seeds = born;
-  for (const Triple& t : bumped) {
-    auto& val = kappa_[t];
-    val = std::min<Degree>(val + 1, QuadCount(t[0], t[1], t[2]));
+  // are the only candidates that may rise to m+1. (A born triangle is
+  // never a riser: one reached at level m holds kappa >= m, so it was a
+  // source of that level.)
+  std::vector<CliqueId> seeds = born;
+  for (CliqueId t : kappa_.Risers(born, max_born_d4, for_each)) {
+    kappa_.Set(t, std::min<Degree>(kappa_[t] + 1, QuadCount(Vertices(t))));
     seeds.push_back(t);
   }
   // The surviving co-triangles of the born 4-cliques also gained an input:
   // quad {u,v,w,x} contributes the old triangles {u,w,x} and {v,w,x}.
-  for (const Triple& t : born) {
-    Common3(adj_[t[0]], adj_[t[1]], adj_[t[2]], [&](VertexId x) {
-      seeds.push_back(Sorted(t[0], t[1], x));
-      seeds.push_back(Sorted(t[0], t[2], x));
-      seeds.push_back(Sorted(t[1], t[2], x));
+  for (CliqueId t : born) {
+    ForEachFourClique(t, [&](std::span<const CliqueId> co) {
+      seeds.insert(seeds.end(), co.begin(), co.end());
     });
   }
-  Repair(std::move(seeds));
+  last_repair_work_ = kappa_.Repair(seeds, for_each);
   return true;
 }
 
 bool DynamicNucleus34Maintainer::RemoveEdge(VertexId u, VertexId v) {
-  if (u == v || u >= adj_.size() || v >= adj_.size()) return false;
-  if (!HasEdgeInternal(u, v)) return false;
+  if (!graph_.HasEdge(u, v)) return false;
   // Dead triangles all contain {u, v}; seeds are the surviving triangles
   // of the 4-cliques being destroyed with them.
-  std::vector<Triple> dead;
-  Common2(adj_[u], adj_[v],
-          [&](VertexId w) { dead.push_back(Sorted(u, v, w)); });
-  std::vector<Triple> seeds;
-  for (const Triple& t : dead) {
-    Common3(adj_[t[0]], adj_[t[1]], adj_[t[2]], [&](VertexId x) {
-      // Of quad (t, x), the triangles not containing edge {u, v} survive.
-      for (int i = 0; i < 3; ++i) {
-        const Triple c = Sorted(t[i], t[(i + 1) % 3], x);
-        if ((c[0] == u || c[1] == u || c[2] == u) &&
-            (c[0] == v || c[1] == v || c[2] == v)) {
-          continue;  // contains the removed edge: dies too
-        }
-        seeds.push_back(c);
+  std::vector<CliqueId> dead;
+  ForEachCommon(graph_.Neighbors(u), graph_.Neighbors(v),
+                [&](VertexId w) { dead.push_back(IdOf(u, v, w)); });
+  std::vector<CliqueId> seeds;
+  for (CliqueId t : dead) {
+    ForEachFourClique(t, [&](std::span<const CliqueId> co) {
+      for (CliqueId c : co) {
+        // Of quad (t, x), the triangles containing edge {u, v} die too.
+        const Triple tri = Vertices(c);
+        const auto has = [&](VertexId x) {
+          return tri[0] == x || tri[1] == x || tri[2] == x;
+        };
+        if (!(has(u) && has(v))) seeds.push_back(c);
       }
     });
   }
-  adj_[u].erase(std::lower_bound(adj_[u].begin(), adj_[u].end(), v));
-  adj_[v].erase(std::lower_bound(adj_[v].begin(), adj_[v].end(), u));
-  --num_edges_;
-  for (const Triple& t : dead) kappa_.erase(t);
-  Repair(std::move(seeds));
-  return true;
-}
-
-void DynamicNucleus34Maintainer::Repair(std::vector<Triple> seeds) {
-  last_repair_work_ = 0;
-  std::unordered_set<Triple, TripleHash> queued;
-  std::queue<Triple> work;
-  auto push = [&](const Triple& t) {
-    if (queued.insert(t).second) work.push(t);
-  };
-  for (const Triple& s : seeds) push(s);
-  HIndexScratch scratch;
-  while (!work.empty()) {
-    const Triple t = work.front();
-    work.pop();
-    queued.erase(t);
-    const auto it = kappa_.find(t);
-    if (it == kappa_.end()) continue;  // triangle deleted meanwhile
-    ++last_repair_work_;
-    auto& rhos = scratch.values();
-    rhos.clear();
-    Common3(adj_[t[0]], adj_[t[1]], adj_[t[2]], [&](VertexId x) {
-      Degree rho = kInvalidClique;
-      rho = std::min(rho, kappa_.at(Sorted(t[0], t[1], x)));
-      rho = std::min(rho, kappa_.at(Sorted(t[0], t[2], x)));
-      rho = std::min(rho, kappa_.at(Sorted(t[1], t[2], x)));
-      rhos.push_back(rho);
-    });
-    const Degree h = std::min<Degree>(scratch.Compute(), it->second);
-    if (h != it->second) {
-      it->second = h;
-      // Wake the 4-clique co-triangles.
-      Common3(adj_[t[0]], adj_[t[1]], adj_[t[2]], [&](VertexId x) {
-        push(Sorted(t[0], t[1], x));
-        push(Sorted(t[0], t[2], x));
-        push(Sorted(t[1], t[2], x));
+  graph_.Erase(u, v);
+  num_triangles_ -= dead.size();
+  for (CliqueId t : dead) kappa_.Set(t, 0);
+  last_repair_work_ =
+      kappa_.Repair(seeds, [this](CliqueId t, auto&& fn) {
+        ForEachFourClique(t, fn);
       });
-    }
-  }
-}
-
-Graph DynamicNucleus34Maintainer::ToGraph() const {
-  std::vector<std::size_t> offsets(adj_.size() + 1, 0);
-  for (std::size_t v = 0; v < adj_.size(); ++v) {
-    offsets[v + 1] = offsets[v] + adj_[v].size();
-  }
-  std::vector<VertexId> neighbors;
-  neighbors.reserve(offsets.back());
-  for (const auto& a : adj_) {
-    neighbors.insert(neighbors.end(), a.begin(), a.end());
-  }
-  return Graph(std::move(offsets), std::move(neighbors));
+  return true;
 }
 
 std::vector<Degree>
@@ -248,16 +157,24 @@ DynamicNucleus34Maintainer::Nucleus34NumbersInIndexOrder() const {
   // Lexicographic (u < v < w) triple order — exactly a fresh
   // TriangleIndex's pristine id order.
   std::vector<Degree> out;
-  out.reserve(kappa_.size());
-  for (VertexId u = 0; u < adj_.size(); ++u) {
-    for (VertexId v : adj_[u]) {
+  out.reserve(num_triangles_);
+  for (VertexId u = 0; u < NumVertices(); ++u) {
+    for (VertexId v : graph_.Neighbors(u)) {
       if (v <= u) continue;
-      Common2(adj_[u], adj_[v], [&](VertexId w) {
-        if (w > v) out.push_back(kappa_.at(Triple{u, v, w}));
-      });
+      ForEachCommon(graph_.Neighbors(u), graph_.Neighbors(v),
+                    [&](VertexId w) {
+                      if (w > v) out.push_back(kappa_[IdOf(u, v, w)]);
+                    });
     }
   }
   return out;
+}
+
+std::vector<Degree> DynamicNucleus34Maintainer::TakeKappa(
+    const TriangleIndex& patched) {
+  return kappa_.Take(patched.NumTriangles(), [&](const Triple& t) {
+    return patched.TriangleIdOf(t[0], t[1], t[2]);
+  });
 }
 
 }  // namespace nucleus

@@ -1,212 +1,182 @@
 #include "src/local/dynamic_truss.h"
 
 #include <algorithm>
-#include <queue>
-#include <unordered_set>
+#include <utility>
 
-#include "src/clique/edge_index.h"
 #include "src/clique/intersect.h"
-#include "src/common/h_index.h"
 #include "src/peel/ktruss.h"
 
 namespace nucleus {
 
 namespace {
 
-// Sorted-vector intersection shared by the member functions.
-template <typename Fn>
-void CommonNeighbors(const std::vector<VertexId>& a,
-                     const std::vector<VertexId>& b, Fn&& fn) {
-  ForEachCommon(std::span<const VertexId>(a.data(), a.size()),
-                std::span<const VertexId>(b.data(), b.size()),
-                std::forward<Fn>(fn));
+std::array<VertexId, 2> SortedPair(VertexId u, VertexId v) {
+  return u < v ? std::array<VertexId, 2>{u, v}
+               : std::array<VertexId, 2>{v, u};
 }
 
 }  // namespace
 
 DynamicTrussMaintainer::DynamicTrussMaintainer(const Graph& g)
-    : adj_(g.NumVertices()), num_edges_(g.NumEdges()) {
-  for (VertexId v = 0; v < g.NumVertices(); ++v) {
-    adj_[v].assign(g.Neighbors(v).begin(), g.Neighbors(v).end());
-  }
-  const EdgeIndex edges(g);
-  const auto truss = TrussNumbers(g, edges);
-  kappa_.reserve(edges.NumEdges() * 2);
-  for (EdgeId e = 0; e < edges.NumEdges(); ++e) {
-    const auto [u, v] = edges.Endpoints(e);
-    kappa_[Key(u, v)] = truss[e];
-  }
+    : graph_(g), base_(g), kappa_(TrussNumbers(g, base_)) {
+  BuildEdgeIds();
 }
 
 DynamicTrussMaintainer::DynamicTrussMaintainer(const Graph& g,
-                                               const EdgeIndex& edges,
-                                               std::span<const Degree> kappa)
-    : adj_(g.NumVertices()), num_edges_(g.NumEdges()) {
-  for (VertexId v = 0; v < g.NumVertices(); ++v) {
-    adj_[v].assign(g.Neighbors(v).begin(), g.Neighbors(v).end());
+                                               EdgeIndex edges,
+                                               std::vector<Degree> kappa)
+    : graph_(g), base_(std::move(edges)), kappa_(std::move(kappa)) {
+  BuildEdgeIds();
+}
+
+DynamicTrussMaintainer::DynamicTrussMaintainer(std::size_t n)
+    : graph_(n),
+      base_(graph_.ToGraph()),
+      kappa_(std::vector<Degree>{}),
+      edge_ids_(n) {}
+
+void DynamicTrussMaintainer::BuildEdgeIds() {
+  // Forward entries {u, v > u} take their id from the index; each is
+  // mirrored into v's list, whose entries below v come first and in the
+  // ascending order u is walked in.
+  const std::size_t n = NumVertices();
+  edge_ids_.assign(n, {});
+  for (VertexId v = 0; v < n; ++v) {
+    edge_ids_[v].resize(graph_.Neighbors(v).size());
   }
-  kappa_.reserve(g.NumEdges() * 2);
-  for (EdgeId e = 0; e < edges.NumEdges(); ++e) {
-    if (!edges.IsLive(e)) continue;
-    const auto [u, v] = edges.Endpoints(e);
-    kappa_[Key(u, v)] = kappa[e];
+  std::vector<std::size_t> backward(n, 0);
+  for (VertexId u = 0; u < n; ++u) {
+    const auto nbrs = graph_.Neighbors(u);
+    for (std::size_t i = 0; i < nbrs.size(); ++i) {
+      const VertexId v = nbrs[i];
+      if (v < u) continue;
+      const CliqueId e = IdOf(u, v);
+      edge_ids_[u][i] = e;
+      edge_ids_[v][backward[v]++] = e;
+    }
   }
 }
 
-DynamicTrussMaintainer::DynamicTrussMaintainer(std::size_t n) : adj_(n) {}
+std::size_t DynamicTrussMaintainer::Slot(VertexId a, VertexId b) const {
+  const auto nbrs = graph_.Neighbors(a);
+  return static_cast<std::size_t>(
+      std::lower_bound(nbrs.begin(), nbrs.end(), b) - nbrs.begin());
+}
 
-bool DynamicTrussMaintainer::HasEdgeInternal(VertexId u, VertexId v) const {
-  const auto& a = adj_[u].size() <= adj_[v].size() ? adj_[u] : adj_[v];
-  const VertexId target = adj_[u].size() <= adj_[v].size() ? v : u;
-  return std::binary_search(a.begin(), a.end(), target);
+CliqueId DynamicTrussMaintainer::IdOf(VertexId u, VertexId v) const {
+  const EdgeId e = base_.EdgeIdOf(u, v);
+  return e != kInvalidEdge ? e : kappa_.FindBorn(SortedPair(u, v));
+}
+
+DynamicTrussMaintainer::Pair DynamicTrussMaintainer::Endpoints(
+    CliqueId e) const {
+  if (e >= kappa_.NumBaseIds()) return kappa_.BornTuple(e);
+  const auto [u, v] = base_.Endpoints(e);
+  return {u, v};
 }
 
 Degree DynamicTrussMaintainer::TriangleCount(VertexId u, VertexId v) const {
   Degree c = 0;
-  CommonNeighbors(adj_[u], adj_[v], [&](VertexId) { ++c; });
+  ForEachCommon(graph_.Neighbors(u), graph_.Neighbors(v),
+                [&](VertexId) { ++c; });
   return c;
 }
 
+template <typename Fn>
+void DynamicTrussMaintainer::ForEachTriangle(CliqueId e, Fn&& fn) const {
+  const auto [a, b] = Endpoints(e);
+  const auto na = graph_.Neighbors(a);
+  const auto nb = graph_.Neighbors(b);
+  const std::vector<CliqueId>& ia = edge_ids_[a];
+  const std::vector<CliqueId>& ib = edge_ids_[b];
+  std::size_t i = 0, j = 0;
+  while (i < na.size() && j < nb.size()) {
+    if (na[i] < nb[j]) {
+      ++i;
+    } else if (nb[j] < na[i]) {
+      ++j;
+    } else {
+      const CliqueId co[2] = {ia[i++], ib[j++]};
+      fn(std::span<const CliqueId>(co, 2));
+    }
+  }
+}
+
 Degree DynamicTrussMaintainer::TrussNumberOf(VertexId u, VertexId v) const {
-  const auto it = kappa_.find(Key(u, v));
-  return it == kappa_.end() ? kInvalidClique : it->second;
+  if (!graph_.HasEdge(u, v)) return kInvalidClique;
+  return kappa_[IdOf(u, v)];
 }
 
 bool DynamicTrussMaintainer::InsertEdge(VertexId u, VertexId v) {
-  if (u == v || u >= adj_.size() || v >= adj_.size()) return false;
-  if (HasEdgeInternal(u, v)) return false;
-  adj_[u].insert(std::lower_bound(adj_[u].begin(), adj_[u].end(), v), v);
-  adj_[v].insert(std::lower_bound(adj_[v].begin(), adj_[v].end(), u), u);
-  ++num_edges_;
+  if (!graph_.Insert(u, v)) return false;
+  const auto for_each = [this](CliqueId e, auto&& fn) {
+    ForEachTriangle(e, fn);
+  };
 
-  // The new edge starts from its triangle count (valid upper bound).
+  // The new edge starts from its triangle count (valid upper bound). It
+  // takes back its base id when it was removed earlier in the batch, else
+  // a side-store slot.
   const Degree d3_e0 = TriangleCount(u, v);
-  const std::uint64_t key0 = Key(u, v);
-  kappa_[key0] = d3_e0;
+  CliqueId e0 = base_.EdgeIdOf(u, v);
+  if (e0 == kInvalidEdge) e0 = kappa_.Born(SortedPair(u, v));
+  kappa_.Set(e0, d3_e0);
+  edge_ids_[u].insert(edge_ids_[u].begin() + Slot(u, v), e0);
+  edge_ids_[v].insert(edge_ids_[v].begin() + Slot(v, u), e0);
 
   // Per-level triangle-BFS from e0: at level m, traverse triangles whose
   // edges all have old kappa >= m; edges with old kappa == m found this
-  // way are the only candidates that may rise to m+1. Bumps are recorded
-  // first (BFS must see the *old* values) and applied afterwards.
-  std::unordered_set<std::uint64_t> bumped;
-  for (Degree m = 0; m < d3_e0; ++m) {
-    std::unordered_set<std::uint64_t> visited = {key0};
-    std::queue<std::pair<VertexId, VertexId>> frontier;
-    frontier.emplace(u, v);
-    while (!frontier.empty()) {
-      const auto [a, b] = frontier.front();
-      frontier.pop();
-      CommonNeighbors(adj_[a], adj_[b], [&](VertexId w) {
-        const std::uint64_t k1 = Key(a, w);
-        const std::uint64_t k2 = Key(b, w);
-        // Traverse this triangle only if both co-edges still qualify
-        // (old kappa >= m); the new edge itself always qualifies.
-        const Degree t1 = kappa_.at(k1);
-        const Degree t2 = kappa_.at(k2);
-        if (t1 < m || t2 < m) return;
-        for (const auto& [kk, x, y] :
-             {std::tuple{k1, a, w}, std::tuple{k2, b, w}}) {
-          if (visited.insert(kk).second) {
-            if (kappa_.at(kk) == m) bumped.insert(kk);
-            // Continue through edges that stay >= m.
-            frontier.emplace(x, y);
-          }
-        }
-      });
-    }
-  }
-  std::vector<std::uint64_t> seeds = {key0};
-  for (std::uint64_t kk : bumped) {
-    auto& val = kappa_[kk];
-    const VertexId a = static_cast<VertexId>(kk >> 32);
-    const VertexId b = static_cast<VertexId>(kk & 0xffffffffu);
-    val = std::min<Degree>(val + 1, TriangleCount(a, b));
-    seeds.push_back(kk);
+  // way are the only candidates that may rise to m+1.
+  const CliqueId sources[1] = {e0};
+  std::vector<CliqueId> seeds = {e0};
+  for (CliqueId f : kappa_.Risers(sources, d3_e0, for_each)) {
+    const auto [a, b] = Endpoints(f);
+    kappa_.Set(f, std::min<Degree>(kappa_[f] + 1, TriangleCount(a, b)));
+    seeds.push_back(f);
   }
   // The co-edges of the new triangles also gained an input.
-  CommonNeighbors(adj_[u], adj_[v], [&](VertexId w) {
-    seeds.push_back(Key(u, w));
-    seeds.push_back(Key(v, w));
+  ForEachTriangle(e0, [&](std::span<const CliqueId> co) {
+    seeds.insert(seeds.end(), co.begin(), co.end());
   });
-  Repair(std::move(seeds));
+  last_repair_work_ = kappa_.Repair(seeds, for_each);
   return true;
 }
 
 bool DynamicTrussMaintainer::RemoveEdge(VertexId u, VertexId v) {
-  if (u == v || u >= adj_.size() || v >= adj_.size()) return false;
-  if (!HasEdgeInternal(u, v)) return false;
+  if (!graph_.HasEdge(u, v)) return false;
   // Seeds: edges of the triangles being destroyed.
-  std::vector<std::uint64_t> seeds;
-  CommonNeighbors(adj_[u], adj_[v], [&](VertexId w) {
-    seeds.push_back(Key(u, w));
-    seeds.push_back(Key(v, w));
+  const CliqueId e0 = IdOf(u, v);
+  std::vector<CliqueId> seeds;
+  ForEachTriangle(e0, [&](std::span<const CliqueId> co) {
+    seeds.insert(seeds.end(), co.begin(), co.end());
   });
-  adj_[u].erase(std::lower_bound(adj_[u].begin(), adj_[u].end(), v));
-  adj_[v].erase(std::lower_bound(adj_[v].begin(), adj_[v].end(), u));
-  --num_edges_;
-  kappa_.erase(Key(u, v));
-  Repair(std::move(seeds));
-  return true;
-}
-
-void DynamicTrussMaintainer::Repair(std::vector<std::uint64_t> seeds) {
-  last_repair_work_ = 0;
-  std::unordered_set<std::uint64_t> queued;
-  std::queue<std::uint64_t> work;
-  auto push = [&](std::uint64_t k) {
-    if (queued.insert(k).second) work.push(k);
-  };
-  for (std::uint64_t s : seeds) push(s);
-  HIndexScratch scratch;
-  while (!work.empty()) {
-    const std::uint64_t k = work.front();
-    work.pop();
-    queued.erase(k);
-    const auto it = kappa_.find(k);
-    if (it == kappa_.end()) continue;  // edge deleted meanwhile
-    ++last_repair_work_;
-    const VertexId a = static_cast<VertexId>(k >> 32);
-    const VertexId b = static_cast<VertexId>(k & 0xffffffffu);
-    auto& rhos = scratch.values();
-    rhos.clear();
-    CommonNeighbors(adj_[a], adj_[b], [&](VertexId w) {
-      rhos.push_back(std::min(kappa_.at(Key(a, w)), kappa_.at(Key(b, w))));
-    });
-    const Degree h = std::min<Degree>(scratch.Compute(), it->second);
-    if (h != it->second) {
-      it->second = h;
-      // Wake the triangle neighbors.
-      CommonNeighbors(adj_[a], adj_[b], [&](VertexId w) {
-        push(Key(a, w));
-        push(Key(b, w));
+  edge_ids_[u].erase(edge_ids_[u].begin() + Slot(u, v));
+  edge_ids_[v].erase(edge_ids_[v].begin() + Slot(v, u));
+  graph_.Erase(u, v);
+  kappa_.Set(e0, 0);
+  last_repair_work_ =
+      kappa_.Repair(seeds, [this](CliqueId e, auto&& fn) {
+        ForEachTriangle(e, fn);
       });
-    }
-  }
-}
-
-Graph DynamicTrussMaintainer::ToGraph() const {
-  std::vector<std::size_t> offsets(adj_.size() + 1, 0);
-  for (std::size_t v = 0; v < adj_.size(); ++v) {
-    offsets[v + 1] = offsets[v] + adj_[v].size();
-  }
-  std::vector<VertexId> neighbors;
-  neighbors.reserve(offsets.back());
-  for (const auto& a : adj_) {
-    neighbors.insert(neighbors.end(), a.begin(), a.end());
-  }
-  return Graph(std::move(offsets), std::move(neighbors));
+  return true;
 }
 
 std::vector<Degree> DynamicTrussMaintainer::TrussNumbersInIndexOrder()
     const {
   std::vector<Degree> out;
-  out.reserve(num_edges_);
-  for (VertexId u = 0; u < adj_.size(); ++u) {
-    for (VertexId v : adj_[u]) {
-      if (v > u) out.push_back(kappa_.at(Key(u, v)));
+  out.reserve(NumEdges());
+  for (VertexId u = 0; u < NumVertices(); ++u) {
+    for (VertexId v : graph_.Neighbors(u)) {
+      if (v > u) out.push_back(kappa_[IdOf(u, v)]);
     }
   }
   return out;
+}
+
+std::vector<Degree> DynamicTrussMaintainer::TakeKappa(
+    const EdgeIndex& patched) {
+  return kappa_.Take(patched.NumEdges(), [&](const Pair& p) {
+    return patched.EdgeIdOf(p[0], p[1]);
+  });
 }
 
 }  // namespace nucleus

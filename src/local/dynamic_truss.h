@@ -13,24 +13,30 @@
 // Exactness of the repaired values follows from the fixed-point sandwich
 // (see dynamic.h) and is asserted against full recomputation in
 // dynamic_truss_test.cc over hundreds of random mutations.
+//
+// State: truss numbers live in an id-indexed vector over a base EdgeIndex
+// (dynamic_state.h). The standalone constructors build their own base;
+// the session hands each batch a copy of its index and a copy of its
+// cached kappa, so a batch never reads state another batch's commit
+// patches. Edges born after construction get side-store slots keyed by
+// their endpoint pair; TakeKappa re-indexes everything onto the base index
+// once the batch's net delta is patched into it.
 #ifndef NUCLEUS_LOCAL_DYNAMIC_TRUSS_H_
 #define NUCLEUS_LOCAL_DYNAMIC_TRUSS_H_
 
-#include <cstdint>
+#include <array>
+#include <cstddef>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
+#include "src/clique/edge_index.h"
 #include "src/common/types.h"
 #include "src/graph/graph.h"
+#include "src/local/dynamic_state.h"
 
 namespace nucleus {
 
-class EdgeIndex;
-
-/// Maintains exact truss numbers of a mutable simple graph. Edges are
-/// keyed by their endpoint pair (stable across mutations, unlike dense
-/// EdgeIndex ids).
+/// Maintains exact truss numbers of a mutable simple graph.
 class DynamicTrussMaintainer {
  public:
   explicit DynamicTrussMaintainer(const Graph& g);
@@ -38,12 +44,14 @@ class DynamicTrussMaintainer {
 
   /// Starts from an existing graph whose exact truss numbers are already
   /// known (e.g. the session's kappa cache), skipping the internal
-  /// decomposition. kappa is indexed by `edges` ids (tombstoned ids of a
-  /// patched index are ignored). Precondition: kappa.size() ==
-  /// edges.NumEdges(), the live edges of `edges` are exactly the edges of
-  /// g, and the values are the exact truss numbers of g.
-  DynamicTrussMaintainer(const Graph& g, const EdgeIndex& edges,
-                         std::span<const Degree> kappa);
+  /// decomposition. `edges` becomes the base index and kappa is indexed by
+  /// its ids (tombstoned ids of a patched index are never read). Both are
+  /// taken by value: the maintainer keeps no reference to the caller's
+  /// state. Precondition: kappa.size() == edges.NumEdges(), the live edges
+  /// of `edges` are exactly the edges of g, and the values are the exact
+  /// truss numbers of g.
+  DynamicTrussMaintainer(const Graph& g, EdgeIndex edges,
+                         std::vector<Degree> kappa);
 
   /// Inserts {u, v}; false if present or invalid. Repairs truss numbers.
   bool InsertEdge(VertexId u, VertexId v);
@@ -54,32 +62,53 @@ class DynamicTrussMaintainer {
   /// Truss number of {u, v}; kInvalidClique if the edge is absent.
   Degree TrussNumberOf(VertexId u, VertexId v) const;
 
-  std::size_t NumVertices() const { return adj_.size(); }
-  std::size_t NumEdges() const { return num_edges_; }
+  std::size_t NumVertices() const { return graph_.NumVertices(); }
+  std::size_t NumEdges() const { return graph_.NumEdges(); }
 
   /// Edges recomputed during the last mutation (work measure).
   std::size_t LastRepairWork() const { return last_repair_work_; }
 
   /// Materializes the current graph (for testing / interop).
-  Graph ToGraph() const;
+  Graph ToGraph() const { return graph_.ToGraph(); }
 
   /// Truss numbers in EdgeIndex id order of ToGraph() (for testing).
   std::vector<Degree> TrussNumbersInIndexOrder() const;
 
- private:
-  static std::uint64_t Key(VertexId u, VertexId v) {
-    if (u > v) std::swap(u, v);
-    return (static_cast<std::uint64_t>(u) << 32) | v;
+  /// Base ids whose truss number was written since construction (see
+  /// KappaStore::ChangedIds); removed edges are written to 0.
+  std::span<const CliqueId> ChangedIds() const {
+    return kappa_.ChangedIds();
   }
-  bool HasEdgeInternal(VertexId u, VertexId v) const;
-  Degree TriangleCount(VertexId u, VertexId v) const;
-  // Worklist repair; seeds are edge keys whose inputs changed. kappa_ must
-  // hold a valid upper bound on entry.
-  void Repair(std::vector<std::uint64_t> seeds);
 
-  std::vector<std::vector<VertexId>> adj_;
-  std::unordered_map<std::uint64_t, Degree> kappa_;
-  std::size_t num_edges_ = 0;
+  /// Moves the truss numbers out, indexed by `patched`: the base index
+  /// after ApplyDelta of this maintainer's net edge delta (what a session
+  /// commit does). Base ids keep their slots, removed edges holding 0;
+  /// edges born since construction land on the ids `patched` gave them.
+  /// The maintainer must not be used afterwards.
+  std::vector<Degree> TakeKappa(const EdgeIndex& patched);
+
+ private:
+  using Pair = std::array<VertexId, 2>;
+  // Id of the edge {u, v} of the working graph: its base id, else its
+  // side-store slot. Traversals read ids off edge_ids_ instead.
+  CliqueId IdOf(VertexId u, VertexId v) const;
+  // Fills edge_ids_ for the working graph with one transpose pass.
+  void BuildEdgeIds();
+  // Position of b in a's neighbor list (present or insertion point).
+  std::size_t Slot(VertexId a, VertexId b) const;
+  Pair Endpoints(CliqueId e) const;
+  Degree TriangleCount(VertexId u, VertexId v) const;
+  // Calls fn(co) per triangle of edge e with its two other edge ids.
+  template <typename Fn>
+  void ForEachTriangle(CliqueId e, Fn&& fn) const;
+
+  WorkingGraph graph_;
+  EdgeIndex base_;
+  KappaStore<2> kappa_;
+  // edge_ids_[v][i] is the id of edge {v, graph_.Neighbors(v)[i]}, kept in
+  // step with graph_, so a triangle's co-edge ids come out of the
+  // neighbor-list merge that finds it, with no lookup.
+  std::vector<std::vector<CliqueId>> edge_ids_;
   std::size_t last_repair_work_ = 0;
 };
 

@@ -4,9 +4,11 @@
 
 #include <algorithm>
 #include <array>
+#include <map>
 #include <utility>
 #include <vector>
 
+#include "src/clique/delta.h"
 #include "src/clique/triangles.h"
 #include "src/common/rng.h"
 #include "src/graph/builder.h"
@@ -81,6 +83,10 @@ TEST(DynamicNucleus34, PrecomputedKappaCtorIgnoresTombstonedIds) {
   EXPECT_EQ(m.Nucleus34NumbersInIndexOrder(), kappa_fresh);
   EXPECT_EQ(m.Nucleus34NumberOf(dead[0][0], dead[0][1], dead[0][2]),
             kInvalidClique);
+  // The dead triangles' base ids are tombstoned, so re-inserting the edge
+  // re-creates them in side-store slots rather than on the dead ids.
+  ASSERT_TRUE(m.InsertEdge(ru, rv));
+  EXPECT_EQ(m.Nucleus34NumbersInIndexOrder(), Recompute(m.ToGraph()));
 }
 
 TEST(DynamicNucleus34, BuildK5EdgeByEdge) {
@@ -198,6 +204,116 @@ TEST(DynamicNucleus34, WorkIsBoundedByGraph) {
       // triangle are possible while the worklist drains, but the total
       // stays proportional to the triangle count, not exponential.
       EXPECT_LE(m.LastRepairWork(), 20 * (m.NumTriangles() + 1));
+    }
+  }
+}
+
+// An absent pair whose insertion births triangles that sit in 4-cliques,
+// and a present edge whose triangles do.
+std::pair<VertexId, VertexId> PairWithQuads(const Graph& g, bool present) {
+  for (VertexId u = 0; u < g.NumVertices(); ++u) {
+    for (VertexId v = u + 1; v < g.NumVertices(); ++v) {
+      if (g.HasEdge(u, v) != present) continue;
+      for (VertexId w : g.Neighbors(u)) {
+        if (!g.HasEdge(v, w)) continue;
+        for (VertexId x : g.Neighbors(w)) {
+          if (x != u && x != v && g.HasEdge(u, x) && g.HasEdge(v, x)) {
+            return {u, v};
+          }
+        }
+      }
+    }
+  }
+  return {0, 0};
+}
+
+TEST(DynamicNucleus34, RebirthWithinOneSequenceForEveryConstructor) {
+  // Case 1: an edge carrying born triangles (and born 4-cliques) is
+  // inserted and removed again; case 2: an edge of live triangles is
+  // removed and re-inserted — each among other mutations, and from each
+  // constructor (the (size_t n) one is fed g's edges first, so every
+  // triangle sits in its side store).
+  const Graph g = GeneratePlantedPartition(2, 9, 0.75, 0.1, 3);
+  const auto [bu, bv] = PairWithQuads(g, false);
+  const auto [lu, lv] = PairWithQuads(g, true);
+  ASSERT_NE(bu, bv);
+  ASSERT_NE(lu, lv);
+  const TriangleIndex tris(g);
+  for (int ctor = 0; ctor < 3; ++ctor) {
+    DynamicNucleus34Maintainer m =
+        ctor == 0 ? DynamicNucleus34Maintainer(g)
+        : ctor == 1
+            ? DynamicNucleus34Maintainer(g, tris, Nucleus34Numbers(g, tris))
+            : DynamicNucleus34Maintainer(g.NumVertices());
+    if (ctor == 2) {
+      for (VertexId u = 0; u < g.NumVertices(); ++u) {
+        for (VertexId v : g.Neighbors(u)) {
+          if (u < v) {
+            ASSERT_TRUE(m.InsertEdge(u, v));
+          }
+        }
+      }
+    }
+    const auto check = [&](const char* what) {
+      ASSERT_EQ(m.Nucleus34NumbersInIndexOrder(), Recompute(m.ToGraph()))
+          << what << " ctor " << ctor;
+      ASSERT_EQ(m.NumTriangles(), TriangleIndex(m.ToGraph()).NumTriangles());
+    };
+    ASSERT_TRUE(m.InsertEdge(bu, bv));
+    check("born");
+    ASSERT_TRUE(m.RemoveEdge(lu, lv));
+    check("other removal");
+    ASSERT_TRUE(m.RemoveEdge(bu, bv));
+    check("born edge removed again");
+    ASSERT_TRUE(m.InsertEdge(lu, lv));
+    check("live edge re-inserted");
+    ASSERT_TRUE(m.InsertEdge(bu, bv));
+    check("born edge inserted again");
+  }
+}
+
+TEST(DynamicNucleus34, TakeKappaLandsOnThePatchedIndex) {
+  // The session's handover: the base index patched with the triangle
+  // delta of the net edge delta numbers every live triangle; TakeKappa
+  // must put each exact kappa_4 on its patched id and 0 on the tombstones.
+  const Graph g = GeneratePlantedPartition(2, 9, 0.75, 0.1, 11);
+  TriangleIndex tris(g);
+  DynamicNucleus34Maintainer m(g, tris, Nucleus34Numbers(g, tris));
+  std::map<std::pair<VertexId, VertexId>, bool> net;  // pair -> inserted
+  Rng rng(4);
+  for (int step = 0; step < 60; ++step) {
+    VertexId u = static_cast<VertexId>(rng.UniformInt(0, 17));
+    VertexId v = static_cast<VertexId>(rng.UniformInt(0, 17));
+    if (u > v) std::swap(u, v);
+    const bool inserted = m.InsertEdge(u, v);
+    if (!inserted && !m.RemoveEdge(u, v)) continue;
+    const auto it = net.find({u, v});
+    if (it != net.end()) {
+      net.erase(it);  // toggled back
+    } else {
+      net.emplace(std::make_pair(u, v), inserted);
+    }
+  }
+  EdgeDelta delta;
+  for (const auto& [pair, ins] : net) {
+    (ins ? delta.inserted : delta.removed).push_back(pair);
+  }
+  const Graph after = m.ToGraph();
+  const TriangleDelta tdelta = ComputeTriangleDelta(g, after, delta);
+  ASSERT_FALSE(tdelta.dead.empty());
+  ASSERT_FALSE(tdelta.born.empty());
+  tris.ApplyDelta(tdelta.dead, tdelta.born);
+  const std::vector<Degree> got = m.TakeKappa(tris);
+  ASSERT_EQ(got.size(), tris.NumTriangles());
+  const TriangleIndex fresh(after);
+  const auto want = Nucleus34Numbers(after, fresh);
+  for (TriangleId t = 0; t < fresh.NumTriangles(); ++t) {
+    const auto& tri = fresh.Vertices(t);
+    EXPECT_EQ(got[tris.TriangleIdOf(tri[0], tri[1], tri[2])], want[t]);
+  }
+  for (TriangleId t = 0; t < tris.NumTriangles(); ++t) {
+    if (!tris.IsLive(t)) {
+      EXPECT_EQ(got[t], 0u) << "tombstone " << t;
     }
   }
 }

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <utility>
+#include <vector>
+
 #include "src/clique/edge_index.h"
 #include "src/common/rng.h"
 #include "src/graph/builder.h"
@@ -65,6 +69,10 @@ TEST(DynamicTruss, PrecomputedKappaCtorIgnoresTombstonedIds) {
   EXPECT_EQ(m.NumEdges(), g1.NumEdges());
   EXPECT_EQ(m.TrussNumbersInIndexOrder(), kappa_fresh);
   EXPECT_EQ(m.TrussNumberOf(ru, rv), kInvalidClique);
+  // The pair's base id is tombstoned, so re-inserting it takes a
+  // side-store slot rather than the dead id.
+  ASSERT_TRUE(m.InsertEdge(ru, rv));
+  EXPECT_EQ(m.TrussNumbersInIndexOrder(), Recompute(m.ToGraph()));
 }
 
 TEST(DynamicTruss, BuildK4EdgeByEdge) {
@@ -179,6 +187,115 @@ TEST(DynamicTruss, WorkIsBoundedByGraph) {
       // Work counts processings, not distinct edges; a few re-visits per
       // edge are possible while the worklist drains.
       EXPECT_LE(m.LastRepairWork(), 5 * (g.NumEdges() + 1));
+    }
+  }
+}
+
+// An absent pair whose endpoints share a neighbor (inserting it births
+// triangles), and a present edge that lies in a triangle.
+std::pair<VertexId, VertexId> AbsentPairWithTriangles(const Graph& g) {
+  for (VertexId u = 0; u < g.NumVertices(); ++u) {
+    for (VertexId v = u + 1; v < g.NumVertices(); ++v) {
+      if (g.HasEdge(u, v)) continue;
+      for (VertexId w : g.Neighbors(u)) {
+        if (g.HasEdge(v, w)) return {u, v};
+      }
+    }
+  }
+  return {0, 0};
+}
+
+std::pair<VertexId, VertexId> EdgeWithTriangles(const Graph& g) {
+  for (VertexId u = 0; u < g.NumVertices(); ++u) {
+    for (VertexId v : g.Neighbors(u)) {
+      for (VertexId w : g.Neighbors(u)) {
+        if (u < v && g.HasEdge(v, w)) return {u, v};
+      }
+    }
+  }
+  return {0, 0};
+}
+
+TEST(DynamicTruss, RebirthWithinOneSequenceForEveryConstructor) {
+  // Case 1: an edge carrying born triangles is inserted and removed again;
+  // case 2: an edge of live triangles is removed and re-inserted — each
+  // among other mutations, and from each constructor (the (size_t n) one
+  // is fed g's edges first, so every edge sits in its side store).
+  const Graph g = GeneratePlantedPartition(2, 10, 0.7, 0.1, 5);
+  const auto [bu, bv] = AbsentPairWithTriangles(g);
+  const auto [lu, lv] = EdgeWithTriangles(g);
+  ASSERT_NE(bu, bv);
+  ASSERT_NE(lu, lv);
+  const EdgeIndex edges(g);
+  for (int ctor = 0; ctor < 3; ++ctor) {
+    DynamicTrussMaintainer m =
+        ctor == 0   ? DynamicTrussMaintainer(g)
+        : ctor == 1 ? DynamicTrussMaintainer(g, edges, TrussNumbers(g, edges))
+                    : DynamicTrussMaintainer(g.NumVertices());
+    if (ctor == 2) {
+      for (EdgeId e = 0; e < edges.NumEdges(); ++e) {
+        ASSERT_TRUE(m.InsertEdge(edges.Endpoints(e).first,
+                                 edges.Endpoints(e).second));
+      }
+    }
+    const auto check = [&](const char* what) {
+      ASSERT_EQ(m.TrussNumbersInIndexOrder(), Recompute(m.ToGraph()))
+          << what << " ctor " << ctor;
+    };
+    ASSERT_TRUE(m.InsertEdge(bu, bv));
+    check("born");
+    ASSERT_TRUE(m.RemoveEdge(lu, lv));
+    check("other removal");
+    ASSERT_TRUE(m.RemoveEdge(bu, bv));
+    check("born edge removed again");
+    ASSERT_TRUE(m.InsertEdge(lu, lv));
+    check("live edge re-inserted");
+    ASSERT_TRUE(m.InsertEdge(bu, bv));
+    check("born edge inserted again");
+  }
+}
+
+TEST(DynamicTruss, TakeKappaLandsOnThePatchedIndex) {
+  // The session's handover: the base index patched with the net delta
+  // numbers every live edge; TakeKappa must put each exact truss number
+  // on its patched id and 0 on the tombstones.
+  const Graph g = GeneratePlantedPartition(2, 10, 0.7, 0.1, 7);
+  EdgeIndex edges(g);
+  DynamicTrussMaintainer m(g, edges, TrussNumbers(g, edges));
+  std::map<std::pair<VertexId, VertexId>, bool> net;  // pair -> inserted
+  Rng rng(3);
+  for (int step = 0; step < 80; ++step) {
+    VertexId u = static_cast<VertexId>(rng.UniformInt(0, 19));
+    VertexId v = static_cast<VertexId>(rng.UniformInt(0, 19));
+    if (u > v) std::swap(u, v);
+    const bool inserted = m.InsertEdge(u, v);
+    if (!inserted && !m.RemoveEdge(u, v)) continue;
+    const auto it = net.find({u, v});
+    if (it != net.end()) {
+      net.erase(it);  // toggled back
+    } else {
+      net.emplace(std::make_pair(u, v), inserted);
+    }
+  }
+  std::vector<std::pair<VertexId, VertexId>> removed, inserted;
+  for (const auto& [pair, ins] : net) {
+    (ins ? inserted : removed).push_back(pair);
+  }
+  ASSERT_FALSE(removed.empty());
+  ASSERT_FALSE(inserted.empty());
+  edges.ApplyDelta(removed, inserted);
+  const Graph after = m.ToGraph();
+  const std::vector<Degree> got = m.TakeKappa(edges);
+  ASSERT_EQ(got.size(), edges.NumEdges());
+  const EdgeIndex fresh(after);
+  const auto want = TrussNumbers(after, fresh);
+  for (EdgeId e = 0; e < fresh.NumEdges(); ++e) {
+    const auto [u, v] = fresh.Endpoints(e);
+    EXPECT_EQ(got[edges.EdgeIdOf(u, v)], want[e]) << u << "," << v;
+  }
+  for (EdgeId e = 0; e < edges.NumEdges(); ++e) {
+    if (!edges.IsLive(e)) {
+      EXPECT_EQ(got[e], 0u) << "tombstone " << e;
     }
   }
 }

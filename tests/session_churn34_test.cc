@@ -18,6 +18,7 @@
 
 #include <algorithm>
 #include <array>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -39,6 +40,9 @@ constexpr int kOpsPerRound = 4;
 // ever simultaneously tombstoned — below kMinDeadForCompaction, which
 // keeps the whole run compaction-free by construction.
 constexpr int kPoolSize = 24;
+constexpr DecompositionKind kKinds[] = {DecompositionKind::kCore,
+                                        DecompositionKind::kTruss,
+                                        DecompositionKind::kNucleus34};
 
 void ExpectHierarchiesEqual(const NucleusHierarchy& got,
                             const NucleusHierarchy& want, const char* what) {
@@ -56,6 +60,64 @@ void ExpectHierarchiesEqual(const NucleusHierarchy& got,
   EXPECT_EQ(got.node_of_clique, want.node_of_clique) << what;
 }
 
+// After a commit, for every space: Decompose is served from cache, every
+// patched kappa value equals a from-scratch peel on the mutated graph,
+// and the repaired cached hierarchy is bitwise-equal to a full rebuild.
+void CertifyCommit(NucleusSession& session, const DecomposeOptions& warm,
+                   int threads, const std::string& what) {
+  const Graph& g = session.graph();
+  const EdgeIndex fresh_edges(g);
+  const TriangleIndex fresh_tris(g, threads);
+  const EdgeIndex& patched_edges = session.Edges();
+  const TriangleIndex& patched_tris = session.Triangles(threads);
+  const auto core_ref = PeelCore(g).kappa;
+  const auto truss_ref = PeelTruss(g, fresh_edges).kappa;
+  const auto n34_ref = PeelNucleus34(g, fresh_tris).kappa;
+
+  for (auto kind : kKinds) {
+    // Every read after the commit is a cache hit: zero engine reruns.
+    const auto res = session.Decompose(kind, warm);
+    ASSERT_TRUE(res.ok());
+    ASSERT_TRUE(res->served_from_cache) << what;
+    ASSERT_TRUE(res->exact);
+
+    // Patched kappa equals from-scratch peel, value for value.
+    if (kind == DecompositionKind::kCore) {
+      ASSERT_EQ(res->kappa, core_ref) << what;
+    } else if (kind == DecompositionKind::kTruss) {
+      for (EdgeId e = 0; e < fresh_edges.NumEdges(); ++e) {
+        const auto [u, v] = fresh_edges.Endpoints(e);
+        const EdgeId pe = patched_edges.EdgeIdOf(u, v);
+        ASSERT_NE(pe, kInvalidEdge);
+        ASSERT_EQ(res->kappa[pe], truss_ref[e])
+            << what << " edge {" << u << "," << v << "}";
+      }
+    } else {
+      for (TriangleId t = 0; t < fresh_tris.NumTriangles(); ++t) {
+        const auto& tri = fresh_tris.Vertices(t);
+        const TriangleId pt =
+            patched_tris.TriangleIdOf(tri[0], tri[1], tri[2]);
+        ASSERT_NE(pt, kInvalidTriangle);
+        ASSERT_EQ(res->kappa[pt], n34_ref[t])
+            << what << " triangle {" << tri[0] << ","
+            << tri[1] << "," << tri[2] << "}";
+      }
+    }
+
+    // The repaired cached hierarchy is bitwise-equal to a full rebuild
+    // over the same patched id space (HierarchyFor runs BuildHierarchy
+    // from scratch and bypasses the cache).
+    const auto repaired = session.Hierarchy(kind, warm);
+    ASSERT_TRUE(repaired.ok());
+    auto rebuilt = session.HierarchyFor(kind, res->kappa);
+    ASSERT_TRUE(rebuilt.ok());
+    ExpectHierarchiesEqual(**repaired, *rebuilt,
+                           kind == DecompositionKind::kCore    ? "core"
+                           : kind == DecompositionKind::kTruss ? "truss"
+                                                               : "n34");
+  }
+}
+
 void ChurnAndCertify(int threads, std::uint64_t seed) {
   const Graph initial = GeneratePlantedPartition(3, 14, 0.55, 0.05, 13);
   NucleusSession session(initial);
@@ -64,10 +126,7 @@ void ChurnAndCertify(int threads, std::uint64_t seed) {
   warm.method = Method::kAnd;
   warm.threads = threads;
   warm.materialize = Materialize::kOn;  // force arenas so patches are hit
-  const DecompositionKind kinds[] = {DecompositionKind::kCore,
-                                     DecompositionKind::kTruss,
-                                     DecompositionKind::kNucleus34};
-  for (auto kind : kinds) {
+  for (auto kind : kKinds) {
     ASSERT_TRUE(session.Decompose(kind, warm).ok());
     ASSERT_TRUE(session.Hierarchy(kind, warm).ok());  // cache all three
   }
@@ -106,9 +165,9 @@ void ChurnAndCertify(int threads, std::uint64_t seed) {
     if (round % 25 == 24) {
       std::vector<std::thread> readers;
       for (int r = 0; r < 4; ++r) {
-        readers.emplace_back([&session, &warm, &kinds] {
+        readers.emplace_back([&session, &warm] {
           for (int i = 0; i < 3; ++i) {
-            for (auto kind : kinds) {
+            for (auto kind : kKinds) {
               auto res = session.Decompose(kind, warm);
               ASSERT_TRUE(res.ok());
             }
@@ -121,57 +180,8 @@ void ChurnAndCertify(int threads, std::uint64_t seed) {
       ASSERT_TRUE(batch.Commit().ok());
     }
 
-    const Graph& g = session.graph();
-    const EdgeIndex fresh_edges(g);
-    const TriangleIndex fresh_tris(g, threads);
-    const EdgeIndex& patched_edges = session.Edges();
-    const TriangleIndex& patched_tris = session.Triangles(threads);
-    const auto core_ref = PeelCore(g).kappa;
-    const auto truss_ref = PeelTruss(g, fresh_edges).kappa;
-    const auto n34_ref = PeelNucleus34(g, fresh_tris).kappa;
-
-    for (auto kind : kinds) {
-      // Every read after the commit is a cache hit: zero engine reruns.
-      const auto res = session.Decompose(kind, warm);
-      ASSERT_TRUE(res.ok());
-      ASSERT_TRUE(res->served_from_cache) << "round " << round;
-      ASSERT_TRUE(res->exact);
-
-      // Patched kappa equals from-scratch peel, value for value.
-      if (kind == DecompositionKind::kCore) {
-        ASSERT_EQ(res->kappa, core_ref) << "round " << round;
-      } else if (kind == DecompositionKind::kTruss) {
-        for (EdgeId e = 0; e < fresh_edges.NumEdges(); ++e) {
-          const auto [u, v] = fresh_edges.Endpoints(e);
-          const EdgeId pe = patched_edges.EdgeIdOf(u, v);
-          ASSERT_NE(pe, kInvalidEdge);
-          ASSERT_EQ(res->kappa[pe], truss_ref[e])
-              << "round " << round << " edge {" << u << "," << v << "}";
-        }
-      } else {
-        for (TriangleId t = 0; t < fresh_tris.NumTriangles(); ++t) {
-          const auto& tri = fresh_tris.Vertices(t);
-          const TriangleId pt =
-              patched_tris.TriangleIdOf(tri[0], tri[1], tri[2]);
-          ASSERT_NE(pt, kInvalidTriangle);
-          ASSERT_EQ(res->kappa[pt], n34_ref[t])
-              << "round " << round << " triangle {" << tri[0] << ","
-              << tri[1] << "," << tri[2] << "}";
-        }
-      }
-
-      // The repaired cached hierarchy is bitwise-equal to a full rebuild
-      // over the same patched id space (HierarchyFor runs BuildHierarchy
-      // from scratch and bypasses the cache).
-      const auto repaired = session.Hierarchy(kind, warm);
-      ASSERT_TRUE(repaired.ok());
-      auto rebuilt = session.HierarchyFor(kind, res->kappa);
-      ASSERT_TRUE(rebuilt.ok());
-      ExpectHierarchiesEqual(**repaired, *rebuilt,
-                             kind == DecompositionKind::kCore    ? "core"
-                             : kind == DecompositionKind::kTruss ? "truss"
-                                                                 : "n34");
-    }
+    ASSERT_NO_FATAL_FAILURE(CertifyCommit(session, warm, threads,
+                                          "round " + std::to_string(round)));
   }
 
   // The contract, in counters: the whole 100-commit churn ran with zero
@@ -192,6 +202,84 @@ void ChurnAndCertify(int threads, std::uint64_t seed) {
   EXPECT_EQ(stats.truss_kappa_seeds, kRounds);
   EXPECT_EQ(stats.nucleus34_kappa_seeds, kRounds);
   EXPECT_EQ(stats.hierarchy_repairs, 3 * kRounds);
+}
+
+// An absent pair (present == false) or an edge whose triangles sit in
+// 4-cliques, avoiding the vertices in `avoid`.
+std::pair<VertexId, VertexId> PairWithQuads(
+    const Graph& g, bool present, const std::vector<VertexId>& avoid) {
+  const auto avoided = [&](VertexId x) {
+    return std::find(avoid.begin(), avoid.end(), x) != avoid.end();
+  };
+  for (VertexId u = 0; u < g.NumVertices(); ++u) {
+    for (VertexId v = u + 1; v < g.NumVertices(); ++v) {
+      if (g.HasEdge(u, v) != present || avoided(u) || avoided(v)) continue;
+      for (VertexId w : g.Neighbors(u)) {
+        if (!g.HasEdge(v, w)) continue;
+        for (VertexId x : g.Neighbors(w)) {
+          if (x != u && x != v && g.HasEdge(u, x) && g.HasEdge(v, x)) {
+            return {u, v};
+          }
+        }
+      }
+    }
+  }
+  return {0, 0};
+}
+
+TEST(SessionChurn34, RebirthWithinOneBatch) {
+  // Case 1: a batch inserts an edge that carries born triangles and
+  // 4-cliques and later removes it again; case 2: a batch removes an edge
+  // of live triangles and later re-inserts it. Each happens among other
+  // mutations, so the net delta is just those others, while the
+  // maintainers pass through a side-store slot that dies (case 1) and a
+  // base id that dies and is re-born (case 2). Kappa and hierarchies of
+  // every kind must still equal the rebuild.
+  const Graph initial = GeneratePlantedPartition(3, 14, 0.55, 0.05, 13);
+  NucleusSession session(initial);
+  DecomposeOptions warm;
+  warm.threads = 2;
+  warm.materialize = Materialize::kOn;
+  for (auto kind : kKinds) {
+    ASSERT_TRUE(session.Decompose(kind, warm).ok());
+    ASSERT_TRUE(session.Hierarchy(kind, warm).ok());
+  }
+  const auto born = PairWithQuads(initial, false, {});
+  const auto live = PairWithQuads(initial, true, {born.first, born.second});
+  const auto other_in =
+      PairWithQuads(initial, false,
+                    {born.first, born.second, live.first, live.second});
+  const auto other_out = PairWithQuads(
+      initial, true,
+      {born.first, born.second, live.first, live.second, other_in.first,
+       other_in.second});
+  for (const auto& [u, v] : {born, live, other_in, other_out}) {
+    ASSERT_NE(u, v);
+  }
+
+  {
+    auto batch = session.BeginUpdates();
+    ASSERT_TRUE(batch.MaintainsNucleus34());
+    ASSERT_TRUE(batch.InsertEdge(born.first, born.second));
+    ASSERT_TRUE(batch.RemoveEdge(other_out.first, other_out.second));
+    ASSERT_TRUE(batch.InsertEdge(other_in.first, other_in.second));
+    ASSERT_TRUE(batch.RemoveEdge(born.first, born.second));
+    ASSERT_TRUE(batch.Commit().ok());
+  }
+  ASSERT_NO_FATAL_FAILURE(CertifyCommit(session, warm, 2, "born then dead"));
+
+  {
+    auto batch = session.BeginUpdates();
+    ASSERT_TRUE(batch.MaintainsNucleus34());
+    ASSERT_TRUE(batch.RemoveEdge(live.first, live.second));
+    ASSERT_TRUE(batch.InsertEdge(other_out.first, other_out.second));
+    ASSERT_TRUE(batch.RemoveEdge(other_in.first, other_in.second));
+    ASSERT_TRUE(batch.InsertEdge(live.first, live.second));
+    ASSERT_TRUE(batch.Commit().ok());
+  }
+  ASSERT_NO_FATAL_FAILURE(CertifyCommit(session, warm, 2, "dead then reborn"));
+  EXPECT_EQ(session.stats().nucleus34_kappa_seeds, 2);
+  EXPECT_EQ(session.stats().hierarchy_repairs, 6);
 }
 
 TEST(SessionChurn34, CertifiedSingleThread) { ChurnAndCertify(1, 101); }

@@ -891,6 +891,89 @@ TEST(Session, CommitAfterCompactionKeepsMaintainerSeeds) {
   ASSERT_TRUE(session.Hierarchy(DecompositionKind::kNucleus34).ok());
 }
 
+TEST(Session, BatchesStayIsolatedFromAnotherBatchsCommit) {
+  // Each batch's truss / (3,4) maintainer works on its own copy of the
+  // session's index and kappa. b1's commit patches the session's indices
+  // in place and then compacts them (the triangle index is freed); b2,
+  // branched before it, must go on computing exactly what standalone
+  // maintainers replaying its mutations from the branch graph compute,
+  // and must still be refused at commit as stale.
+  const Graph g = GenerateErdosRenyi(40, 350, 19);
+  NucleusSession session(g);
+  ASSERT_TRUE(session.Decompose(DecompositionKind::kTruss).ok());
+  ASSERT_TRUE(session.Decompose(DecompositionKind::kNucleus34).ok());
+  auto b1 = session.BeginUpdates();
+  auto b2 = session.BeginUpdates();
+  ASSERT_TRUE(b2.MaintainsTruss());
+  ASSERT_TRUE(b2.MaintainsNucleus34());
+
+  // b1 kills triangles (every other edge goes: past the compaction
+  // threshold of both layers) and births some (absent pairs come in).
+  const EdgeIndex pre(g);
+  for (EdgeId e = 0; e < pre.NumEdges(); e += 2) {
+    ASSERT_TRUE(b1.RemoveEdge(pre.Endpoints(e).first,
+                              pre.Endpoints(e).second));
+  }
+  std::vector<std::pair<VertexId, VertexId>> absent;
+  for (VertexId u = 0; u < g.NumVertices() && absent.size() < 16; ++u) {
+    for (VertexId v = u + 1; v < g.NumVertices() && absent.size() < 16;
+         ++v) {
+      if (!g.HasEdge(u, v)) absent.emplace_back(u, v);
+    }
+  }
+  for (std::size_t i = 0; i < absent.size(); i += 2) {
+    ASSERT_TRUE(b1.InsertEdge(absent[i].first, absent[i].second));
+  }
+  const std::uint64_t compactions = session.stats().compactions;
+  ASSERT_TRUE(b1.Commit().ok());
+  ASSERT_EQ(session.stats().compactions, compactions + 2);  // both layers
+  // Rebuild the triangle index, so freed and reused memory is in play.
+  ASSERT_TRUE(session.Decompose(DecompositionKind::kNucleus34).ok());
+
+  // b2 mutates afterwards: removals and insertions that kill and birth
+  // triangles, a removal undone, and an insertion undone.
+  DynamicTrussMaintainer truss_ref(g);
+  DynamicNucleus34Maintainer n34_ref(g);
+  const auto remove = [&](VertexId u, VertexId v) {
+    ASSERT_TRUE(b2.RemoveEdge(u, v));
+    ASSERT_TRUE(truss_ref.RemoveEdge(u, v));
+    ASSERT_TRUE(n34_ref.RemoveEdge(u, v));
+  };
+  const auto insert = [&](VertexId u, VertexId v) {
+    ASSERT_TRUE(b2.InsertEdge(u, v));
+    ASSERT_TRUE(truss_ref.InsertEdge(u, v));
+    ASSERT_TRUE(n34_ref.InsertEdge(u, v));
+  };
+  for (EdgeId e = 1; e < pre.NumEdges(); e += 9) {
+    remove(pre.Endpoints(e).first, pre.Endpoints(e).second);
+  }
+  for (const auto& [u, v] : absent) insert(u, v);
+  remove(absent[1].first, absent[1].second);
+  insert(pre.Endpoints(1).first, pre.Endpoints(1).second);
+
+  const Graph after = truss_ref.ToGraph();
+  const EdgeIndex edges(after);
+  for (EdgeId e = 0; e < edges.NumEdges(); ++e) {
+    const auto [u, v] = edges.Endpoints(e);
+    ASSERT_EQ(b2.TrussNumberOf(u, v), truss_ref.TrussNumberOf(u, v))
+        << "edge {" << u << "," << v << "}";
+  }
+  EXPECT_EQ(b2.TrussNumberOf(pre.Endpoints(10).first,
+                             pre.Endpoints(10).second),
+            kInvalidClique);
+  const TriangleIndex tris(after);
+  ASSERT_GT(tris.NumTriangles(), 0u);
+  for (TriangleId t = 0; t < tris.NumTriangles(); ++t) {
+    const auto& tri = tris.Vertices(t);
+    ASSERT_EQ(b2.Nucleus34NumberOf(tri[0], tri[1], tri[2]),
+              n34_ref.Nucleus34NumberOf(tri[0], tri[1], tri[2]))
+        << "triangle {" << tri[0] << "," << tri[1] << "," << tri[2] << "}";
+  }
+  const Status stale = b2.Commit();
+  ASSERT_FALSE(stale.ok());
+  EXPECT_EQ(stale.code(), StatusCode::kFailedPrecondition);
+}
+
 TEST(Session, OverBudgetArenaFallsBackToOnTheFly) {
   const Graph g = GeneratePlantedPartition(3, 20, 0.5, 0.02, 37);
   NucleusSession session(g);
