@@ -102,10 +102,10 @@ bool DynamicNucleus34Maintainer::InsertEdge(VertexId u, VertexId v) {
 
   // Per-level multi-source 4-clique-BFS from the born triangles: at level
   // m, traverse 4-cliques whose triangles all have kappa >= m (born ones
-  // carry their d_4 seed); old triangles with kappa == m found this way
-  // are the only candidates that may rise to m+1. (A born triangle is
-  // never a riser: one reached at level m holds kappa >= m, so it was a
-  // source of that level.)
+  // carry their d_4 seed), expanding through the kappa == m triangles
+  // only; those are the only candidates that may rise to m+1. (A born
+  // triangle is never a riser: one reached at level m holds kappa >= m,
+  // so it was a source of that level.)
   std::vector<CliqueId> seeds = born;
   for (CliqueId t : kappa_.Risers(born, max_born_d4, for_each)) {
     kappa_.Set(t, std::min<Degree>(kappa_[t] + 1, QuadCount(Vertices(t))));

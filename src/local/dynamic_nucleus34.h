@@ -9,10 +9,11 @@
 // 4-clique (T plus the one endpoint of e0 it misses) and its kappa_4 rises
 // by at most 1. A riser with old kappa m must lie in the new (m+1)-nucleus,
 // which necessarily contains a BORN triangle (otherwise it existed before
-// the insert) and is S-connected through triangles of kappa >= m. We
-// therefore run a per-level multi-source 4-clique-BFS from the born
-// triangles for every level m below the largest born-triangle d_4, bumping
-// the reached kappa == m triangles to min(m+1, d_4). Born triangles start
+// the insert) and is S-connected to one through risers (KappaStore::
+// Risers). We therefore run a per-level multi-source 4-clique-BFS from the
+// born triangles for every level m below the largest born-triangle d_4,
+// expanding through kappa == m triangles only, and bump those it reaches
+// to min(m+1, d_4). Born triangles start
 // at their d_4 count. Deletion needs no theorem: old values are upper
 // bounds, clamped by the repair. Exactness of the repaired values follows
 // from the fixed-point sandwich (see dynamic.h) and is asserted against

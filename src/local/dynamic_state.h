@@ -128,12 +128,21 @@ class KappaStore {
   }
 
   /// The old r-cliques an insertion may raise by one: for each level
-  /// m < `levels`, a BFS over s-cliques whose members all hold kappa >= m,
-  /// started from the `sources` holding kappa >= m; every other r-clique
-  /// it reaches at exactly m is a riser. The BFS reads values as they are,
-  /// so callers apply the bumps afterwards. No riser is listed twice: a
-  /// level's BFS visits each id once, and an id rises only at its own
-  /// level.
+  /// m < `levels`, a BFS over s-cliques whose members all hold kappa >= m.
+  /// It starts from the `sources` holding kappa >= m and expands only the
+  /// r-cliques it reaches at exactly m, which are the risers. The BFS
+  /// reads values as they are, so callers apply the bumps afterwards. No
+  /// riser is listed twice: a level's BFS visits each id once, and an id
+  /// rises only at its own level.
+  ///
+  /// Every s-clique the insertion created must contain a source, and every
+  /// r-clique it created must be one. Then the risers that do rise to
+  /// m + 1 are all found: take a set C of them connected through s-cliques
+  /// whose members all end at kappa >= m + 1. If none of those s-cliques
+  /// were new, C together with the old (m + 1)-level would already have
+  /// been an (m + 1)-level before the insertion. So one of them is new and
+  /// holds a source, and C is reached from it through r-cliques at m
+  /// alone; the r-cliques above m need not be crossed.
   template <typename ForEach>
   std::vector<CliqueId> Risers(std::span<const CliqueId> sources,
                                Degree levels, ForEach&& for_each) {
@@ -151,8 +160,8 @@ class KappaStore {
             if (kappa_[c] < m) return;
           }
           for (CliqueId c : co) {
-            if (Visit(c)) {
-              if (kappa_[c] == m) risers.push_back(c);
+            if (kappa_[c] == m && Visit(c)) {
+              risers.push_back(c);
               frontier.push_back(c);
             }
           }

@@ -124,8 +124,8 @@ bool DynamicTrussMaintainer::InsertEdge(VertexId u, VertexId v) {
   edge_ids_[v].insert(edge_ids_[v].begin() + Slot(v, u), e0);
 
   // Per-level triangle-BFS from e0: at level m, traverse triangles whose
-  // edges all have old kappa >= m; edges with old kappa == m found this
-  // way are the only candidates that may rise to m+1.
+  // edges all have old kappa >= m, expanding through the edges with old
+  // kappa == m only; those are the only candidates that may rise to m+1.
   const CliqueId sources[1] = {e0};
   std::vector<CliqueId> seeds = {e0};
   for (CliqueId f : kappa_.Risers(sources, d3_e0, for_each)) {

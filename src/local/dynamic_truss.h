@@ -7,8 +7,9 @@
 // classical single-edge k-truss update bound (truss numbers change by at
 // most 1) plus a reachability argument: an edge f with old truss m can
 // only rise to m+1 if it is triangle-connected to e0 through edges of old
-// truss >= m, and m < d3(e0). We therefore bump exactly the edges found by
-// a per-level triangle-BFS from e0 and repair from there. Deletion needs
+// truss m (KappaStore::Risers), and m < d3(e0). We therefore bump exactly
+// the edges found by a per-level triangle-BFS from e0 that expands through
+// such edges only, and repair from there. Deletion needs
 // no theorem: old values are upper bounds, clamped at the seeds.
 // Exactness of the repaired values follows from the fixed-point sandwich
 // (see dynamic.h) and is asserted against full recomputation in

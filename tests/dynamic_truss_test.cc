@@ -191,6 +191,30 @@ TEST(DynamicTruss, WorkIsBoundedByGraph) {
   }
 }
 
+TEST(DynamicTruss, RiserSearchStaysOnItsLevel) {
+  // A K5 hub (truss 3) with a pendant triangle on each of its ten edges,
+  // whose two spokes sit at truss 1. Joining pendant vertex 5 (on {0, 1})
+  // to hub vertex 2 closes the K4 {0, 1, 2, 5}: only that pendant's spokes
+  // rise. The other eighteen spokes are at the same level but reachable
+  // only across the hub, so the search must not list them.
+  std::vector<std::pair<VertexId, VertexId>> edges;
+  VertexId pendant = 5;
+  for (VertexId a = 0; a < 5; ++a) {
+    for (VertexId b = a + 1; b < 5; ++b) {
+      edges.emplace_back(a, b);
+      edges.emplace_back(a, pendant);
+      edges.emplace_back(b, pendant);
+      ++pendant;
+    }
+  }
+  DynamicTrussMaintainer m(BuildGraphFromEdges(pendant, edges));
+  ASSERT_TRUE(m.InsertEdge(2, 5));
+  EXPECT_EQ(m.TrussNumbersInIndexOrder(), Recompute(m.ToGraph()));
+  EXPECT_EQ(m.TrussNumberOf(0, 5), 2u);
+  EXPECT_EQ(m.TrussNumberOf(6, 2), 1u);
+  EXPECT_LT(m.LastRepairWork(), 18u);
+}
+
 // An absent pair whose endpoints share a neighbor (inserting it births
 // triangles), and a present edge that lies in a triangle.
 std::pair<VertexId, VertexId> AbsentPairWithTriangles(const Graph& g) {
