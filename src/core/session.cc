@@ -659,7 +659,11 @@ StatusOr<DecomposeResult> NucleusSession::Decompose(
   // arena builds, and the engine run all share one budget.
   const RunControl ctl = options.MakeControl();
   std::shared_lock<std::shared_mutex> lk(session_mu_);
-  return DecomposeShared(kind, options, ctl);
+  StatusOr<DecomposeResult> out = DecomposeShared(kind, options, ctl);
+  // Both epochs only grow (under the exclusive lock), so their sum moves
+  // whenever either does.
+  if (out.ok()) out->epoch = commit_epoch_ + reset_epoch_;
+  return out;
 }
 
 StatusOr<const NucleusHierarchy*> NucleusSession::Hierarchy(

@@ -189,6 +189,11 @@ struct DecomposeResult {
   /// True when the request was answered from the session's result caches
   /// without running any engine.
   bool served_from_cache = false;
+  /// The session state the result was served at. A mutating commit or
+  /// InvalidateDerivedState moves it, nothing else does, so two exact
+  /// results of one kind with the same epoch carry the same kappa. Serving
+  /// layers key encoded copies of kappa on it.
+  std::uint64_t epoch = 0;
   /// The peel's level partition (live r-cliques in non-decreasing kappa
   /// order, segmented into equal-kappa runs) — populated only by a fresh
   /// method == kPeeling engine run, empty for the local methods and for

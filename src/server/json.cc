@@ -386,15 +386,28 @@ JsonWriter& JsonWriter::String(std::string_view v) {
   return *this;
 }
 
+namespace {
+
+// Integers go through a stack buffer straight into out_: no temporary
+// string per value (20 digits hold UINT64_MAX, 19 plus a sign INT64_MIN).
+template <typename T>
+void AppendInteger(T v, std::string* out) {
+  char buf[20];
+  const std::to_chars_result r = std::to_chars(buf, buf + sizeof(buf), v);
+  out->append(buf, r.ptr);
+}
+
+}  // namespace
+
 JsonWriter& JsonWriter::Int(std::int64_t v) {
   Comma();
-  out_ += std::to_string(v);
+  AppendInteger(v, &out_);
   return *this;
 }
 
 JsonWriter& JsonWriter::UInt(std::uint64_t v) {
   Comma();
-  out_ += std::to_string(v);
+  AppendInteger(v, &out_);
   return *this;
 }
 
@@ -420,6 +433,24 @@ JsonWriter& JsonWriter::Null() {
   Comma();
   out_ += "null";
   return *this;
+}
+
+JsonWriter& JsonWriter::Raw(std::string_view json) {
+  Comma();
+  out_.append(json);
+  return *this;
+}
+
+JsonWriter& JsonWriter::EndLine() {
+  out_.push_back('\n');
+  has_value_.back() = false;
+  return *this;
+}
+
+void JsonWriter::Clear() {
+  out_.clear();
+  has_value_.assign(1, false);
+  after_key_ = false;
 }
 
 }  // namespace nucleus

@@ -88,6 +88,18 @@ class JsonWriter {
   JsonWriter& Double(double v);
   JsonWriter& Bool(bool v);
   JsonWriter& Null();
+  /// Splices `json`, an already-encoded value (an array encoded by another
+  /// writer, say), as the next value.
+  JsonWriter& Raw(std::string_view json);
+  /// Ends one NDJSON record: appends '\n', and the next root value starts a
+  /// new record instead of following this one with a comma.
+  JsonWriter& EndLine();
+
+  /// Grows the buffer to hold at least `bytes` without reallocating.
+  void Reserve(std::size_t bytes) { out_.reserve(bytes); }
+  /// Drops everything written but keeps the buffer's capacity, so one
+  /// writer can encode a stream chunk by chunk.
+  void Clear();
 
   const std::string& str() const { return out_; }
   std::string Take() { return std::move(out_); }

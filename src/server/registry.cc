@@ -8,6 +8,49 @@
 
 namespace nucleus {
 
+std::shared_ptr<const std::string> GraphRegistry::Entry::FindKappa(
+    DecompositionKind kind, std::uint64_t epoch, bool* admit) {
+  std::lock_guard<std::mutex> lk(kappa_mu_);
+  KappaSlot& slot = kappa_slots_[static_cast<int>(kind)];
+  if (slot.epoch == epoch) {
+    *admit = slot.fragment == nullptr;
+    return slot.fragment;
+  }
+  // First read of a new epoch: remember it, and free a stale encoding.
+  slot.epoch = epoch;
+  slot.fragment.reset();
+  *admit = false;
+  return nullptr;
+}
+
+void GraphRegistry::Entry::AdmitKappa(
+    DecompositionKind kind, std::uint64_t epoch,
+    std::shared_ptr<const std::string> fragment) {
+  std::lock_guard<std::mutex> lk(kappa_mu_);
+  KappaSlot& slot = kappa_slots_[static_cast<int>(kind)];
+  if (slot.epoch == epoch && slot.fragment == nullptr) {
+    slot.fragment = std::move(fragment);
+  }
+}
+
+void GraphRegistry::Entry::ClearKappa() {
+  std::lock_guard<std::mutex> lk(kappa_mu_);
+  for (KappaSlot& slot : kappa_slots_) slot = KappaSlot{};
+}
+
+std::uint64_t GraphRegistry::Entry::KappaFragmentBytes() const {
+  std::lock_guard<std::mutex> lk(kappa_mu_);
+  std::uint64_t bytes = 0;
+  for (const KappaSlot& slot : kappa_slots_) {
+    if (slot.fragment) bytes += slot.fragment->capacity();
+  }
+  return bytes;
+}
+
+std::uint64_t GraphRegistry::Entry::FootprintBytes() const {
+  return session.Stats().TotalBytes() + KappaFragmentBytes();
+}
+
 StatusOr<std::shared_ptr<GraphRegistry::Entry>> GraphRegistry::Get(
     const std::string& name) {
   std::lock_guard<std::mutex> lk(mu_);
@@ -85,7 +128,7 @@ int GraphRegistry::EnforceBudgetLocked(const Entry* keep) {
   while (entries_.size() > (keep != nullptr ? 1u : 0u)) {
     std::uint64_t total = 0;
     for (const auto& [name, entry] : entries_) {
-      total += entry->session.Stats().TotalBytes();
+      total += entry->FootprintBytes();
     }
     if (total <= config_.global_budget_bytes) break;
     auto victim = entries_.end();
@@ -122,9 +165,7 @@ std::uint64_t GraphRegistry::TotalBytes() const {
   // Stats() takes the session lock; do it off the registry lock so a slow
   // session cannot serialize unrelated Gets.
   std::uint64_t total = 0;
-  for (const auto& entry : snapshot) {
-    total += entry->session.Stats().TotalBytes();
-  }
+  for (const auto& entry : snapshot) total += entry->FootprintBytes();
   return total;
 }
 

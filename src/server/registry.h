@@ -40,17 +40,45 @@ class GraphRegistry {
   ///  - update_mu serializes mutation batches (two concurrent UpdateBatch
   ///    commits would make one fail as stale — queueing them is the
   ///    service behavior callers expect);
-  ///  - graph_mu protects request handlers that hold session-internal
-  ///    references across response assembly (the raw Graph in densest,
-  ///    the hierarchy pointer while streaming): such reads take it
-  ///    shared, a committing update takes it exclusive — so a commit can
-  ///    never invalidate a reference mid-response. Plain value-returning
-  ///    session calls need neither lock.
+  ///  - graph_mu protects request handlers whose response must come from
+  ///    one graph state: those that hold session-internal references
+  ///    across response assembly (the raw Graph in densest, the hierarchy
+  ///    pointer while streaming) and include_kappa decomposes, which hold
+  ///    it from the session call through the kappa slot lookup. Such reads
+  ///    take it shared; a committing update takes it exclusive and clears
+  ///    the kappa slots inside that section, so a commit can never
+  ///    invalidate a reference mid-response, and no encoded kappa outlives
+  ///    the commit that changed it. Other value-returning session calls
+  ///    need neither lock.
+  /// The kappa slots are keyed by the session's own epoch, so a commit
+  /// made on the session directly rather than through the update
+  /// endpoint still retires them; their bytes then stay resident until
+  /// the kind's next exact read.
   struct Entry {
     Entry(std::string name_in, Graph&& graph, std::uint64_t arena_budget)
         : name(std::move(name_in)),
           arena_budget_bytes(arena_budget),
           session(std::move(graph)) {}
+
+    /// The cached fragment of `kind` when one was encoded at `epoch` (a
+    /// DecomposeResult::epoch), else null. On a miss, *admit says whether
+    /// the caller should encode and AdmitKappa: a fragment is admitted on
+    /// the second exact read of an epoch, so a kind read once per epoch
+    /// never pins its encoding.
+    std::shared_ptr<const std::string> FindKappa(DecompositionKind kind,
+                                                 std::uint64_t epoch,
+                                                 bool* admit);
+    /// Installs the `[...]` encoding of `kind`'s exact kappa at `epoch`,
+    /// unless the slot moved to another epoch meanwhile.
+    void AdmitKappa(DecompositionKind kind, std::uint64_t epoch,
+                    std::shared_ptr<const std::string> fragment);
+    /// Drops every cached fragment (a commit, under exclusive graph_mu).
+    void ClearKappa();
+    /// Bytes the cached fragments hold.
+    std::uint64_t KappaFragmentBytes() const;
+    /// The eviction currency: the session's SessionStateStats::TotalBytes
+    /// plus the cached fragments.
+    std::uint64_t FootprintBytes() const;
 
     const std::string name;
     const std::uint64_t arena_budget_bytes;
@@ -59,6 +87,19 @@ class GraphRegistry {
     std::shared_mutex graph_mu;
     /// LRU clock value of the most recent Get (registry-global ticks).
     std::atomic<std::uint64_t> last_used{0};
+
+   private:
+    // One kind's encoded kappa array. `epoch` is the last epoch an exact
+    // read saw; `fragment` is set only once that epoch was read twice.
+    struct KappaSlot {
+      static constexpr std::uint64_t kNoEpoch = ~std::uint64_t{0};
+      std::uint64_t epoch = kNoEpoch;
+      std::shared_ptr<const std::string> fragment;
+    };
+    // Guards kappa_slots_. Held only inside the methods above, never
+    // across an encode or another lock.
+    mutable std::mutex kappa_mu_;
+    KappaSlot kappa_slots_[3];  // indexed by DecompositionKind
   };
 
   explicit GraphRegistry(Config config) : config_(config) {}
@@ -94,8 +135,7 @@ class GraphRegistry {
   int EnforceBudget();
 
   std::size_t NumResident() const;
-  /// Summed footprint estimate of all resident sessions (their
-  /// SessionStateStats::TotalBytes).
+  /// Summed footprint of all resident entries (Entry::FootprintBytes).
   std::uint64_t TotalBytes() const;
   /// Entries evicted over the registry's lifetime (explicit + budget).
   std::uint64_t Evictions() const { return evictions_.load(); }

@@ -142,6 +142,20 @@ StatusOr<Target> ResolveTarget(GraphRegistry& registry, const JsonValue& body,
   return t;
 }
 
+// The `[...]` encoding of a kappa array, stored at its exact size: a
+// cached fragment lives for a whole epoch, so capacity slack would be heap
+// that nothing reads.
+std::shared_ptr<const std::string> EncodeKappa(
+    const std::vector<Degree>& kappa) {
+  JsonWriter w;
+  w.BeginArray();
+  for (const Degree k : kappa) w.UInt(k);
+  w.EndArray();
+  std::string bytes = w.Take();
+  bytes.shrink_to_fit();
+  return std::make_shared<const std::string>(std::move(bytes));
+}
+
 double ElapsedMs(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(
              std::chrono::steady_clock::now() - t0)
@@ -153,6 +167,13 @@ double ElapsedMs(std::chrono::steady_clock::time_point t0) {
 // exact key hits without any parsing. Bounded so a scan of distinct bad
 // requests cannot grow the map.
 constexpr std::size_t kNegativeCacheCap = 1024;
+
+// A streamed hierarchy flushes once its buffer reaches this size.
+constexpr std::size_t kStreamChunkBytes = 32 * 1024;
+
+// Room for a decompose envelope around a spliced kappa fragment, graph name
+// aside: the field names plus the widest numbers, rounded up.
+constexpr std::size_t kEnvelopeBytes = 512;
 
 }  // namespace
 
@@ -660,10 +681,9 @@ ServerResponse ServerCore::Coalesced(
       riders = flight->riders;
       flights_.erase(key);
     }
-    if (riders > 0) {
-      metrics_.Counter("coalesce.builds").Add();
-      metrics_.Counter("coalesce.riders").Add(static_cast<std::uint64_t>(riders));
-    }
+    if (riders == 0) return resp;  // nobody waits: skip copying the body
+    metrics_.Counter("coalesce.builds").Add();
+    metrics_.Counter("coalesce.riders").Add(static_cast<std::uint64_t>(riders));
     {
       std::lock_guard<std::mutex> fl(flight->mu);
       flight->response = resp;
@@ -726,15 +746,40 @@ ServerResponse ServerCore::HandleDecompose(const JsonValue& body,
   auto run = [this, entry, kind, options,
               method_name = canonical_method,
               include_kappa = *include_kappa]() -> ServerResponse {
+    // An include_kappa read holds graph_mu shared from the session call
+    // through the slot lookup (and the admission encode), so the envelope
+    // and a spliced fragment come from one epoch, and a concurrent commit
+    // cannot clear the slot between the two.
+    std::shared_lock<std::shared_mutex> gl(entry->graph_mu, std::defer_lock);
+    if (include_kappa) gl.lock();
     auto result = entry->session.Decompose(kind, options);
     if (!result.ok()) return ErrorResponse(result.status());
     metrics_
         .Counter(result->served_from_cache ? "decompose.cache_hits"
                                            : "decompose.cache_misses")
         .Add();
+    // Only the exact kappa of a cached-path read is epoch-invariant:
+    // truncated tau and forced fresh runs neither read nor fill the slot.
+    std::shared_ptr<const std::string> fragment;
+    if (include_kappa && options.use_result_cache && result->exact) {
+      bool admit = false;
+      fragment = entry->FindKappa(kind, result->epoch, &admit);
+      metrics_
+          .Counter(fragment != nullptr ? "decompose.kappa_fragment_hits"
+                                       : "decompose.kappa_fragment_misses")
+          .Add();
+      if (admit) {
+        fragment = EncodeKappa(result->kappa);
+        entry->AdmitKappa(kind, result->epoch, fragment);
+      }
+    }
+    if (gl.owns_lock()) gl.unlock();
     Degree max_kappa = 0;
     for (const Degree k : result->kappa) max_kappa = std::max(max_kappa, k);
     JsonWriter w;
+    if (fragment != nullptr) {
+      w.Reserve(fragment->size() + entry->name.size() + kEnvelopeBytes);
+    }
     w.BeginObject()
         .Key("graph")
         .String(entry->name)
@@ -758,7 +803,9 @@ ServerResponse ServerCore::HandleDecompose(const JsonValue& body,
         .Double(result->index_seconds)
         .Key("arena_seconds")
         .Double(result->arena_seconds);
-    if (include_kappa) {
+    if (fragment != nullptr) {
+      w.Key("kappa").Raw(*fragment);
+    } else if (include_kappa) {
       w.Key("kappa").BeginArray();
       for (const Degree k : result->kappa) w.UInt(k);
       w.EndArray();
@@ -865,27 +912,23 @@ ServerResponse ServerCore::HandleHierarchy(const JsonValue& body,
     auto hierarchy = entry->session.Hierarchy(kind, options);
     if (!hierarchy.ok()) return ErrorResponse(hierarchy.status());
     const NucleusHierarchy& h = **hierarchy;
-    std::string buffer;
-    {
-      JsonWriter w;
-      w.BeginObject()
-          .Key("graph")
-          .String(entry->name)
-          .Key("kind")
-          .String(KindName(kind))
-          .Key("nodes")
-          .UInt(h.nodes.size())
-          .Key("roots")
-          .UInt(h.roots.size())
-          .Key("depth")
-          .UInt(h.Depth())
-          .EndObject();
-      buffer = w.Take();
-      buffer.push_back('\n');
-    }
+    // One writer encodes every line straight into the chunk buffer.
+    JsonWriter w;
+    w.BeginObject()
+        .Key("graph")
+        .String(entry->name)
+        .Key("kind")
+        .String(KindName(kind))
+        .Key("nodes")
+        .UInt(h.nodes.size())
+        .Key("roots")
+        .UInt(h.roots.size())
+        .Key("depth")
+        .UInt(h.Depth())
+        .EndObject()
+        .EndLine();
     for (std::size_t i = 0; i < h.nodes.size(); ++i) {
       const NucleusHierarchy::Node& node = h.nodes[i];
-      JsonWriter w;
       w.BeginObject()
           .Key("id")
           .UInt(i)
@@ -898,21 +941,19 @@ ServerResponse ServerCore::HandleHierarchy(const JsonValue& body,
           .Key("new_members")
           .BeginArray();
       for (const CliqueId m : node.new_members) w.UInt(m);
-      w.EndArray().EndObject();
-      buffer += w.str();
-      buffer.push_back('\n');
-      if (buffer.size() >= 32 * 1024) {
-        if (!sink->Write(buffer)) {
+      w.EndArray().EndObject().EndLine();
+      if (w.str().size() >= kStreamChunkBytes) {
+        if (!sink->Write(w.str())) {
           return ServerResponse{
               Status::Cancelled("client disconnected mid-stream"), "", true};
         }
-        buffer.clear();
+        w.Clear();
         if (ctl.ShouldStop()) {
           return ServerResponse{ctl.StopStatus(), "", true};
         }
       }
     }
-    if (!buffer.empty() && !sink->Write(buffer)) {
+    if (!w.str().empty() && !sink->Write(w.str())) {
       return ServerResponse{
           Status::Cancelled("client disconnected mid-stream"), "", true};
     }
@@ -981,7 +1022,8 @@ ServerResponse ServerCore::HandleUpdate(const JsonValue& body,
 
   // update_mu serializes whole batches (a second concurrent batch would
   // commit as stale); the exclusive graph_mu around Commit keeps it from
-  // invalidating references a streaming/densest reader still holds.
+  // invalidating references a streaming/densest reader still holds, and
+  // from leaving an encoded kappa of the old graph in the entry.
   std::lock_guard<std::mutex> ul(entry->update_mu);
   auto batch = entry->session.BeginUpdates();
   std::size_t inserted = 0;
@@ -1003,6 +1045,7 @@ ServerResponse ServerCore::HandleUpdate(const JsonValue& body,
   {
     std::unique_lock<std::shared_mutex> gl(entry->graph_mu);
     commit = batch.Commit(ctl);
+    if (commit.ok()) entry->ClearKappa();
   }
   if (!commit.ok()) return ErrorResponse(commit);
   // The commit may have grown the vertex range — cached out-of-range
@@ -1149,7 +1192,7 @@ ServerResponse ServerCore::HandleGraphs() {
         .Key("num_edges")
         .UInt(entry->session.graph().NumEdges())
         .Key("total_bytes")
-        .UInt(entry->session.Stats().TotalBytes())
+        .UInt(entry->FootprintBytes())
         .EndObject();
   }
   w.EndArray().EndObject();
@@ -1232,15 +1275,20 @@ std::string ServerCore::MetricsJson() {
   w.Key("evictions").UInt(registry_.Evictions());
   w.Key("global_budget_bytes").UInt(registry_.config().global_budget_bytes);
   std::uint64_t total = 0;
+  std::uint64_t fragment_total = 0;
   w.Key("graphs").BeginArray();
   for (const auto& entry : registry_.List()) {
     const SessionStateStats s = entry->session.Stats();
-    total += s.TotalBytes();
+    const std::uint64_t fragment_bytes = entry->KappaFragmentBytes();
+    total += s.TotalBytes() + fragment_bytes;
+    fragment_total += fragment_bytes;
     w.BeginObject().Key("name").String(entry->name);
     WriteSessionStats(w, s);
+    w.Key("kappa_fragment_bytes").UInt(fragment_bytes);
     w.EndObject();
   }
   w.EndArray();
+  w.Key("kappa_fragment_bytes").UInt(fragment_total);
   w.Key("total_bytes").UInt(total);
   w.EndObject();
 

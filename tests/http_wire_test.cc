@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <string>
 
 #include "src/server/http.h"
@@ -230,6 +231,53 @@ TEST(Json, WriterRoundTripsThroughParser) {
   EXPECT_FALSE(v->Find("flag")->AsBool());
   EXPECT_TRUE(v->Find("nothing")->is_null());
   EXPECT_EQ(v->Find("list")->AsArray().size(), 3u);
+}
+
+TEST(Json, IntegersMatchToString) {
+  const std::int64_t ints[] = {0, 9, 10, -1, INT64_MIN, INT64_MAX};
+  for (const std::int64_t v : ints) {
+    JsonWriter w;
+    w.Int(v);
+    EXPECT_EQ(w.str(), std::to_string(v));
+  }
+  const std::uint64_t uints[] = {0, 9, 10, UINT64_MAX};
+  for (const std::uint64_t v : uints) {
+    JsonWriter w;
+    w.UInt(v);
+    EXPECT_EQ(w.str(), std::to_string(v));
+  }
+}
+
+TEST(Json, RawSplicesAnEncodedValue) {
+  JsonWriter array;
+  array.BeginArray().UInt(3).UInt(1).UInt(4).EndArray();
+
+  JsonWriter spliced;
+  spliced.BeginObject().Key("n").UInt(3).Key("kappa").Raw(array.str());
+  spliced.EndObject();
+  JsonWriter direct;
+  direct.BeginObject().Key("n").UInt(3).Key("kappa").BeginArray();
+  direct.UInt(3).UInt(1).UInt(4).EndArray().EndObject();
+  EXPECT_EQ(spliced.str(), direct.str());
+  EXPECT_EQ(spliced.str(), R"({"n":3,"kappa":[3,1,4]})");
+
+  // As an array element, Raw takes its comma like any other value.
+  JsonWriter list;
+  list.BeginArray().UInt(1).Raw(array.str()).EndArray();
+  EXPECT_EQ(list.str(), "[1,[3,1,4]]");
+}
+
+TEST(Json, EndLineSeparatesRecordsAndClearKeepsNoState) {
+  JsonWriter w;
+  w.BeginObject().Key("a").UInt(1).EndObject().EndLine();
+  w.BeginObject().Key("b").BeginArray().UInt(2).EndArray().EndObject();
+  w.EndLine();
+  EXPECT_EQ(w.str(), "{\"a\":1}\n{\"b\":[2]}\n");
+
+  w.Clear();
+  EXPECT_TRUE(w.str().empty());
+  w.BeginObject().Key("c").Bool(true).EndObject().EndLine();
+  EXPECT_EQ(w.str(), "{\"c\":true}\n");
 }
 
 }  // namespace

@@ -15,11 +15,14 @@
 //     chunked hierarchy streaming.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <barrier>
 #include <chrono>
 #include <cstdint>
 #include <functional>
+#include <mutex>
+#include <shared_mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -409,6 +412,43 @@ TEST(ServerCore, ReadsRacingCommitsAreSafeAcrossWorkerCounts) {
   }
 }
 
+// The streamed dump, line by line, against an independent encoding of the
+// session's hierarchy: a header, then one object per node.
+TEST(ServerCore, HierarchyStreamIsOneLinePerNode) {
+  ServerCore server(Config(1));
+  ASSERT_TRUE(server.registry().Add("g", SlowGraph()).ok());
+  StringSink sink;
+  ASSERT_TRUE(server
+                  .HandleStreaming(
+                      {"hierarchy", R"({"graph":"g","kind":"truss"})"}, &sink)
+                  .status.ok());
+
+  auto entry = server.registry().Get("g");
+  ASSERT_TRUE(entry.ok());
+  auto hierarchy = (*entry)->session.Hierarchy(DecompositionKind::kTruss);
+  ASSERT_TRUE(hierarchy.ok());
+  const NucleusHierarchy& h = **hierarchy;
+  std::string expected = R"({"graph":"g","kind":"truss","nodes":)" +
+                         std::to_string(h.nodes.size()) + R"(,"roots":)" +
+                         std::to_string(h.roots.size()) + R"(,"depth":)" +
+                         std::to_string(h.Depth()) + "}\n";
+  for (std::size_t i = 0; i < h.nodes.size(); ++i) {
+    const NucleusHierarchy::Node& node = h.nodes[i];
+    expected += R"({"id":)" + std::to_string(i) + R"(,"k":)" +
+                std::to_string(node.k) + R"(,"parent":)" +
+                std::to_string(node.parent) + R"(,"size":)" +
+                std::to_string(node.size) + R"(,"new_members":[)";
+    for (std::size_t m = 0; m < node.new_members.size(); ++m) {
+      if (m > 0) expected += ",";
+      expected += std::to_string(node.new_members[m]);
+    }
+    expected += "]}\n";
+  }
+  ASSERT_GT(h.nodes.size(), 1u);
+  ASSERT_GT(expected.size(), 64u * 1024);  // spans several 32 KB chunks
+  EXPECT_EQ(sink.data, expected);
+}
+
 // Evicting a graph while requests are in flight: requests that already
 // resolved the entry finish against the still-pinned session; later
 // requests get kNotFound. Never UB, never a crash (TSAN-checked).
@@ -582,6 +622,300 @@ TEST(HttpServerTest, ShutdownWithInflightWorkIsClean) {
   server.Stop();
   client.join();
   core.reset();
+}
+
+// ---------------------------------------------------------------------------
+// Encoded kappa fragments. An include_kappa decompose of exact kappa
+// splices the kind's `[...]` array, encoded once per session epoch, into
+// its per-request envelope. Every case checks the served array against a
+// fresh no_cache read or the peel reference.
+
+std::string DecomposeBody(const std::string& kind, const std::string& extra = "") {
+  return R"({"graph":"g","kind":")" + kind + R"(","include_kappa":true)" +
+         extra + "}";
+}
+
+// The body from its kappa field on: the part a fragment supplies.
+std::string KappaTail(const std::string& body) {
+  const std::size_t at = body.find("\"kappa\":");
+  return at == std::string::npos ? std::string() : body.substr(at);
+}
+
+std::string Read(ServerCore& server, const std::string& body) {
+  const ServerResponse r = server.HandleDirect({"decompose", body});
+  EXPECT_TRUE(r.status.ok()) << r.status.ToString();
+  return r.body;
+}
+
+std::uint64_t FragmentBytes(ServerCore& server) {
+  const auto doc = JsonValue::Parse(server.MetricsJson());
+  if (!doc.ok()) return ~std::uint64_t{0};
+  return static_cast<std::uint64_t>(
+      doc->Find("registry")->GetInt("kappa_fragment_bytes").value());
+}
+
+// Edges of a clique on vertices [0, n) that `g` lacks: inserting them and
+// removing them again toggles between exactly two graphs.
+std::vector<std::pair<VertexId, VertexId>> MissingCliqueEdges(const Graph& g,
+                                                             VertexId n) {
+  std::vector<std::pair<VertexId, VertexId>> out;
+  for (VertexId u = 0; u < n; ++u) {
+    for (VertexId v = u + 1; v < n; ++v) {
+      if (!g.HasEdge(u, v)) out.emplace_back(u, v);
+    }
+  }
+  return out;
+}
+
+std::string EdgeList(const std::vector<std::pair<VertexId, VertexId>>& edges) {
+  std::string out = "[";
+  for (const auto& [u, v] : edges) {
+    if (out.size() > 1) out += ",";
+    out += "[" + std::to_string(u) + "," + std::to_string(v) + "]";
+  }
+  return out + "]";
+}
+
+TEST(KappaFragment, CommitServesTheNewKappa) {
+  ServerCore server(Config(2));
+  const Graph graph = FastGraph();
+  const std::string clique = EdgeList(MissingCliqueEdges(graph, 20));
+  ASSERT_TRUE(server.registry().Add("g", FastGraph()).ok());
+
+  for (const std::string kind : {"core", "truss"}) {
+    SCOPED_TRACE(kind);
+    const std::string before = Read(server, DecomposeBody(kind));
+    const std::string admitted = Read(server, DecomposeBody(kind));
+    EXPECT_EQ(KappaTail(admitted), KappaTail(before));
+    EXPECT_EQ(Read(server, DecomposeBody(kind)), admitted);  // a hit
+  }
+  EXPECT_GE(CounterValue(server, "decompose.kappa_fragment_hits"), 2u);
+  EXPECT_GT(FragmentBytes(server), 0u);
+
+  const std::string old_truss = Read(server, DecomposeBody("truss"));
+  const ServerResponse u = server.HandleDirect(
+      {"update", R"({"graph":"g","insert":)" + clique + "}"});
+  ASSERT_TRUE(u.status.ok()) << u.status.ToString();
+  EXPECT_EQ(FragmentBytes(server), 0u);  // the commit dropped them
+
+  for (const std::string kind : {"core", "truss"}) {
+    SCOPED_TRACE(kind);
+    const std::string fresh =
+        Read(server, DecomposeBody(kind, R"(,"no_cache":true)"));
+    for (int i = 0; i < 3; ++i) {
+      EXPECT_EQ(KappaTail(Read(server, DecomposeBody(kind))),
+                KappaTail(fresh));
+    }
+  }
+  EXPECT_NE(KappaTail(Read(server, DecomposeBody("truss"))),
+            KappaTail(old_truss));
+}
+
+// A commit made on the session itself, not through the update endpoint,
+// leaves the slots in place; the epoch the session stamps on every result
+// still keeps their stale bytes out of a body.
+TEST(KappaFragment, DirectSessionCommitInvalidatesByEpoch) {
+  ServerCore server(Config(2));
+  const auto clique = MissingCliqueEdges(FastGraph(), 20);
+  ASSERT_TRUE(server.registry().Add("g", FastGraph()).ok());
+  const std::string old_tail = KappaTail(Read(server, DecomposeBody("truss")));
+  Read(server, DecomposeBody("truss"));  // admits
+  ASSERT_GT(FragmentBytes(server), 0u);
+
+  auto entry = server.registry().Get("g");
+  ASSERT_TRUE(entry.ok());
+  {
+    std::lock_guard<std::mutex> ul((*entry)->update_mu);
+    auto batch = (*entry)->session.BeginUpdates();
+    for (const auto& [u, v] : clique) batch.InsertEdge(u, v);
+    std::unique_lock<std::shared_mutex> gl((*entry)->graph_mu);
+    ASSERT_TRUE(batch.Commit().ok());
+  }
+  const std::string fresh =
+      Read(server, DecomposeBody("truss", R"(,"no_cache":true)"));
+  ASSERT_NE(KappaTail(fresh), old_tail);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(KappaTail(Read(server, DecomposeBody("truss"))),
+              KappaTail(fresh));
+  }
+}
+
+TEST(KappaFragment, TruncatedReadsNeverTouchTheSlot) {
+  ServerCore server(Config(2));
+  ASSERT_TRUE(server.registry().Add("g", FastGraph()).ok());
+  const std::string truncated = DecomposeBody("truss", R"(,"max_iterations":1)");
+
+  // No exact kappa yet: the capped run answers with tau, twice.
+  for (int i = 0; i < 2; ++i) {
+    const std::string body = Read(server, truncated);
+    ASSERT_FALSE(JsonValue::Parse(body)->GetBool("exact").value());
+  }
+  EXPECT_EQ(CounterValue(server, "decompose.kappa_fragment_hits"), 0u);
+  EXPECT_EQ(CounterValue(server, "decompose.kappa_fragment_misses"), 0u);
+  EXPECT_EQ(FragmentBytes(server), 0u);
+
+  const std::string exact = Read(server, DecomposeBody("truss"));
+  EXPECT_EQ(KappaTail(Read(server, DecomposeBody("truss"))), KappaTail(exact));
+  const std::uint64_t bytes = FragmentBytes(server);
+  EXPECT_GT(bytes, 0u);
+
+  // A forced fresh capped run returns its own tau, not the slot's kappa.
+  const std::uint64_t hits =
+      CounterValue(server, "decompose.kappa_fragment_hits");
+  const std::string forced = Read(
+      server,
+      DecomposeBody("truss", R"(,"max_iterations":1,"no_cache":true)"));
+  EXPECT_FALSE(JsonValue::Parse(forced)->GetBool("exact").value());
+  EXPECT_NE(KappaTail(forced), KappaTail(exact));
+  EXPECT_EQ(CounterValue(server, "decompose.kappa_fragment_hits"), hits);
+  EXPECT_EQ(FragmentBytes(server), bytes);
+}
+
+TEST(KappaFragment, ReloadUnderTheSameNameServesTheNewGraph) {
+  ServerCore server(Config(2));
+  ASSERT_TRUE(server.registry().Add("g", FastGraph()).ok());
+  const std::string old_body = Read(server, DecomposeBody("truss"));
+  Read(server, DecomposeBody("truss"));  // admits
+  ASSERT_GT(FragmentBytes(server), 0u);
+
+  ASSERT_TRUE(server.HandleDirect({"unload", R"({"name":"g"})"}).status.ok());
+  ASSERT_TRUE(
+      server.registry().Add("g", GenerateErdosRenyi(150, 1400, 6)).ok());
+  const std::string fresh =
+      Read(server, DecomposeBody("truss", R"(,"no_cache":true)"));
+  ASSERT_NE(KappaTail(fresh), KappaTail(old_body));
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(KappaTail(Read(server, DecomposeBody("truss"))),
+              KappaTail(fresh));
+  }
+}
+
+TEST(KappaFragment, OneReadPerEpochAdmitsNothing) {
+  ServerCore server(Config(2));
+  const std::string clique = EdgeList(MissingCliqueEdges(FastGraph(), 12));
+  ASSERT_TRUE(server.registry().Add("g", FastGraph()).ok());
+  for (int epoch = 0; epoch < 4; ++epoch) {
+    Read(server, DecomposeBody("truss"));
+    EXPECT_EQ(FragmentBytes(server), 0u) << "epoch " << epoch;
+    const std::string edges = epoch % 2 == 0 ? R"("insert":)" : R"("remove":)";
+    ASSERT_TRUE(server
+                    .HandleDirect({"update", R"({"graph":"g",)" + edges +
+                                                 clique + "}"})
+                    .status.ok());
+  }
+  EXPECT_EQ(CounterValue(server, "decompose.kappa_fragment_hits"), 0u);
+  EXPECT_EQ(CounterValue(server, "decompose.kappa_fragment_misses"), 4u);
+
+  // The second read of an epoch admits, and its fragment is exact-size.
+  const std::string tail = KappaTail(Read(server, DecomposeBody("truss")));
+  EXPECT_EQ(KappaTail(Read(server, DecomposeBody("truss"))), tail);
+  // "kappa": precedes the array, "}" closes the envelope.
+  EXPECT_EQ(FragmentBytes(server), tail.size() - 9);
+}
+
+TEST(KappaFragment, ReadersRacingCommitsSeeOneStateEach) {
+  // Reference kappa of the two graph states the updater toggles between,
+  // by the peel engine on a separate session.
+  const Graph base = FastGraph();
+  const auto clique = MissingCliqueEdges(base, 25);
+  NucleusSession oracle{FastGraph()};
+  DecomposeOptions peel;
+  peel.method = Method::kPeeling;
+  peel.use_result_cache = false;
+  std::vector<std::vector<Degree>> refs;
+  refs.push_back(oracle.Decompose(DecompositionKind::kCore, peel)->kappa);
+  {
+    auto batch = oracle.BeginUpdates();
+    for (const auto& [u, v] : clique) batch.InsertEdge(u, v);
+    ASSERT_TRUE(batch.Commit().ok());
+  }
+  refs.push_back(oracle.Decompose(DecompositionKind::kCore, peel)->kappa);
+  ASSERT_NE(refs[0], refs[1]);
+
+  ServerCore server(Config(4));
+  ASSERT_TRUE(server.registry().Add("g", FastGraph()).ok());
+  Read(server, DecomposeBody("core"));  // warm: kappa cached at state 0
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> bad{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&] {
+      for (int i = 0; i < 60 || !stop.load(); ++i) {
+        if (i >= 2000) break;
+        const ServerResponse r = server.Handle({"decompose", DecomposeBody("core")});
+        const auto doc = JsonValue::Parse(r.body);
+        if (!r.status.ok() || !doc.ok()) {
+          bad.fetch_add(1);
+          continue;
+        }
+        std::vector<Degree> kappa;
+        for (const JsonValue& k : doc->Find("kappa")->AsArray()) {
+          kappa.push_back(static_cast<Degree>(k.AsInt()));
+        }
+        const std::int64_t n = doc->GetInt("num_r_cliques").value();
+        const std::int64_t max_kappa = doc->GetInt("max_kappa").value();
+        bool matched = false;
+        for (const std::vector<Degree>& ref : refs) {
+          const Degree ref_max = *std::max_element(ref.begin(), ref.end());
+          matched |= n == static_cast<std::int64_t>(ref.size()) &&
+                     max_kappa == static_cast<std::int64_t>(ref_max) &&
+                     kappa == ref;
+        }
+        if (!matched) bad.fetch_add(1);
+      }
+    });
+  }
+  threads.emplace_back([&] {
+    const std::string edges = EdgeList(clique);
+    for (int i = 0; i < 12; ++i) {
+      const std::string op = i % 2 == 0 ? R"("insert":)" : R"("remove":)";
+      if (!server.Handle({"update", R"({"graph":"g",)" + op + edges + "}"})
+               .status.ok()) {
+        bad.fetch_add(1);
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+    stop.store(true);
+  });
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(bad.load(), 0);
+  EXPECT_GT(CounterValue(server, "decompose.kappa_fragment_hits"), 0u);
+}
+
+TEST(KappaFragment, FragmentBytesCountTowardTheGlobalBudget) {
+  // Footprints of "a" after two include_kappa reads (session and
+  // fragment) and of a freshly added "b", measured on an unbounded server.
+  std::uint64_t session_bytes = 0, fragment_bytes = 0, newcomer_bytes = 0;
+  {
+    ServerCore probe(Config(1));
+    ASSERT_TRUE(probe.registry().Add("g", FastGraph()).ok());
+    Read(probe, DecomposeBody("truss"));
+    Read(probe, DecomposeBody("truss"));
+    auto a = probe.registry().Get("g");
+    session_bytes = (*a)->session.Stats().TotalBytes();
+    fragment_bytes = (*a)->KappaFragmentBytes();
+    auto b = probe.registry().Add("b", GenerateErdosRenyi(150, 1400, 6));
+    newcomer_bytes = (*b)->FootprintBytes();
+  }
+  ASSERT_GT(fragment_bytes, 0u);
+
+  // Room for both sessions, not for the fragment on top.
+  for (const int reads : {1, 2}) {
+    SCOPED_TRACE("reads=" + std::to_string(reads));
+    ServerConfig config = Config(1);
+    config.global_memory_budget_bytes =
+        session_bytes + fragment_bytes + newcomer_bytes - 1;
+    ServerCore server(config);
+    ASSERT_TRUE(server.registry().Add("g", FastGraph()).ok());
+    for (int i = 0; i < reads; ++i) Read(server, DecomposeBody("truss"));
+    ASSERT_TRUE(
+        server.registry().Add("b", GenerateErdosRenyi(150, 1400, 6)).ok());
+    const bool evicted = reads == 2;
+    EXPECT_EQ(server.registry().Get("g").ok(), !evicted);
+    EXPECT_EQ(server.registry().Evictions(), evicted ? 1u : 0u);
+    EXPECT_TRUE(server.registry().Get("b").ok());
+  }
 }
 
 TEST(ServerCore, SessionCountersAboveInt32RoundTrip) {
