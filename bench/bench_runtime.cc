@@ -64,6 +64,28 @@ std::pair<double, double> AlternatingMedians(int reps, A&& a, B&& b) {
   return {Median(std::move(va)), Median(std::move(vb))};
 }
 
+// In-process rate of `request` on `core`: `threads` client threads each
+// make `requests` HandleDirect calls, timed from their spawn to the last
+// join as RunLoadHarness times its connections. Returns calls per second;
+// `body` receives one response body, empty when any call failed.
+double DirectQps(ServerCore& core, const ServerRequest& request, int threads,
+                 int requests, std::string* body) {
+  std::atomic<bool> failed{false};
+  std::vector<std::thread> clients;
+  Timer t;
+  for (int c = 0; c < threads; ++c) {
+    clients.emplace_back([&] {
+      for (int i = 0; i < requests; ++i) {
+        if (!core.HandleDirect(request).status.ok()) failed = true;
+      }
+    });
+  }
+  for (auto& c : clients) c.join();
+  const double seconds = t.Seconds();
+  *body = failed ? "" : core.HandleDirect(request).body;
+  return threads * requests / std::max(seconds, 1e-9);
+}
+
 template <typename Space>
 void Row(const std::string& graph, const std::string& kind,
          const Space& space) {
@@ -768,72 +790,75 @@ int RunJson(const std::string& path) {
     server.Shutdown();
   }
 
-  // server_qps_blocking / server_qps_reactor record pair: served QPS over
-  // real sockets at 64 connections of warm reads (GET /api/stats on a
-  // loaded graph), one shared 8-worker ServerCore with both transports
-  // attached. Each transport is driven at its supported client strategy:
-  // the blocking thread-per-connection shell at pipeline depth 1 (its
-  // maximum — ServeOne sizes its buffer to one request's Content-Length,
-  // so surplus pipelined bytes would be dropped), the reactor at depth 16
-  // (incremental parsing keeps every buffered request; depth amortizes
-  // the client's syscalls the way real keep-alive fan-in does). wall_ms is
-  // the served-rate inverse (ms/request); the reactor record's speedup
-  // field is reactor_qps / blocking_qps. CI's bench-smoke asserts >= 2x.
-  // The check flag asserts zero non-2xx responses on both arms and that
-  // the sampled response bodies are byte-identical across transports.
-  {
+  // The socket records below need the reactor, which needs Linux.
+  const bool have_reactor = ReactorServer::Supported();
+  if (!have_reactor) {
+    std::printf("%-10s %-9s reactor unsupported on this platform; "
+                "skipping server_qps_reactor and server_concurrency\n",
+                "planted-perf", "serving");
+  }
+
+  // server_qps_reactor record: served QPS over real sockets at 64
+  // connections of warm reads (GET /api/stats on a loaded graph) through
+  // the epoll reactor of one 8-worker ServerCore, pipelined 16 deep
+  // (depth amortizes the client's syscalls the way real keep-alive fan-in
+  // does), against the in-process rate of the same routed request on the
+  // same core from the same 64 client threads (ServerCore::HandleDirect,
+  // no socket). Reactor and direct runs alternate kFloorReps times;
+  // wall_ms is the inverse of the median served rate (ms/request) and the
+  // speedup field is median reactor_qps / median direct_qps, the share of
+  // the in-process rate that survives the wire. CI's bench-smoke asserts
+  // a floor on it. The check flag asserts zero non-2xx responses and that
+  // the served sample body is byte-identical to the direct one.
+  if (have_reactor) {
     ServerConfig server_config;
     server_config.workers = threads;
     server_config.queue_capacity = 256;
     ServerCore server(server_config);
     Graph serving_copy = g;
     bool ok = server.registry().Add("bench", std::move(serving_copy)).ok();
-
-    HttpServer blocking(&server, /*port=*/0);
-    ok = ok && blocking.Start().ok();
-    ReactorConfig reactor_config;
-    ReactorServer reactor(&server, reactor_config);
-    const bool have_reactor = ReactorServer::Supported();
-    if (have_reactor) ok = ok && reactor.Start().ok();
+    ReactorServer reactor(&server, ReactorConfig{});
+    ok = ok && reactor.Start().ok();
 
     LoadHarnessOptions load;
+    load.port = reactor.port();
     load.target = "/api/stats?graph=bench";
     load.connections = 64;
     load.requests_per_connection = fast ? 100 : 300;
-    load.port = blocking.port();
-    load.pipeline_depth = 1;
-    auto blocking_run = RunLoadHarness(load);
-    load.port = have_reactor ? reactor.port() : blocking.port();
-    load.pipeline_depth = have_reactor ? 16 : 1;
-    auto reactor_run = RunLoadHarness(load);
-    ok = ok && blocking_run.ok() && reactor_run.ok() &&
-         blocking_run->errors == 0 && reactor_run->errors == 0 &&
-         blocking_run->sample_body == reactor_run->sample_body &&
-         !blocking_run->sample_body.empty();
+    load.pipeline_depth = 16;
+    const auto routed = RouteHttpRequest(*ParseHttpRequestHead(
+        "GET " + load.target + " HTTP/1.1\r\nHost: " + load.host + "\r\n"));
+    ok = ok && routed.ok();
+    std::string served_body, direct_body;
+    double reactor_p99 = 0;
+    const auto [reactor_qps, direct_qps] = AlternatingMedians(
+        kFloorReps,
+        [&] {
+          auto run = RunLoadHarness(load);
+          ok = ok && run.ok() && run->errors == 0;
+          if (!run.ok()) return 0.0;
+          served_body = std::move(run->sample_body);
+          reactor_p99 = run->p99_ms;
+          return run->qps;
+        },
+        [&] {
+          if (!routed.ok()) return 0.0;
+          return DirectQps(server, *routed, load.connections,
+                           load.requests_per_connection, &direct_body);
+        });
+    ok = ok && !direct_body.empty() && served_body == direct_body;
 
-    const double blocking_qps = blocking_run.ok() ? blocking_run->qps : 0;
-    const double reactor_qps = reactor_run.ok() ? reactor_run->qps : 0;
-    BenchRecord rec_blocking{"planted-perf",        g.NumVertices(),
-                             g.NumEdges(),          "serving",
-                             "server_qps_blocking", threads,
-                             false,                 1e3 / std::max(blocking_qps, 1e-6),
-                             0,                     0.0,
-                             ok};
-    records.push_back(rec_blocking);
-    BenchRecord rec_reactor = rec_blocking;
-    rec_reactor.method = "server_qps_reactor";
-    rec_reactor.wall_ms = 1e3 / std::max(reactor_qps, 1e-6);
-    rec_reactor.speedup_vs_onthefly =
-        reactor_qps / std::max(blocking_qps, 1e-6);
-    records.push_back(rec_reactor);
-    std::printf("%-10s %-9s conns=64  blocking %8.0f qps (p99 %6.2f ms)  "
-                "reactor %8.0f qps (p99 %6.2f ms)  speedup %.2fx  %s\n",
-                "planted-perf", "serving", blocking_qps,
-                blocking_run.ok() ? blocking_run->p99_ms : 0, reactor_qps,
-                reactor_run.ok() ? reactor_run->p99_ms : 0,
-                rec_reactor.speedup_vs_onthefly, ok ? "ok" : "MISMATCH");
-    if (have_reactor) reactor.Stop();
-    blocking.Stop();
+    BenchRecord rec{"planted-perf", g.NumVertices(), g.NumEdges(),
+                    "serving",      "server_qps_reactor", threads,
+                    false,          1e3 / std::max(reactor_qps, 1e-6), 0,
+                    0.0,            ok};
+    rec.speedup_vs_onthefly = reactor_qps / std::max(direct_qps, 1e-6);
+    records.push_back(rec);
+    std::printf("%-10s %-9s conns=64  direct %8.0f qps  reactor %8.0f qps "
+                "(p99 %6.2f ms)  ratio %.3fx  %s\n",
+                "planted-perf", "serving", direct_qps, reactor_qps,
+                reactor_p99, rec.speedup_vs_onthefly, ok ? "ok" : "MISMATCH");
+    reactor.Stop();
     server.Shutdown();
   }
 
@@ -848,7 +873,7 @@ int RunJson(const std::string& path) {
   // speedup — small is good) and wall_ms the median loaded p99. CI's
   // bench-smoke asserts <= 5x. The check flag asserts zero read errors on
   // both arms and that builds actually overlapped every loaded window.
-  {
+  if (have_reactor) {
     ServerConfig server_config;
     server_config.workers = threads;
     server_config.queue_capacity = 256;
@@ -861,18 +886,8 @@ int RunJson(const std::string& path) {
     Graph serving_copy = g;
     bool ok = server.registry().Add("bench", std::move(serving_copy)).ok();
 
-    // Non-Linux fallback: measure through the blocking shell so the
-    // record still exists (reads then share the worker pool with builds,
-    // which is exactly what the class caps are for).
-    ReactorConfig reactor_config;
-    ReactorServer reactor(&server, reactor_config);
-    HttpServer blocking(&server, /*port=*/0);
-    const bool have_reactor = ReactorServer::Supported();
-    if (have_reactor) {
-      ok = ok && reactor.Start().ok();
-    } else {
-      ok = ok && blocking.Start().ok();
-    }
+    ReactorServer reactor(&server, ReactorConfig{});
+    ok = ok && reactor.Start().ok();
 
     // 16 connections x pipeline 4 = 64 standing warm reads: a realistic
     // steady-state fan-in, so the idle baseline reflects read-vs-read
@@ -884,7 +899,7 @@ int RunJson(const std::string& path) {
     load.connections = 16;
     load.pipeline_depth = 4;
     load.requests_per_connection = fast ? 200 : 400;
-    load.port = have_reactor ? reactor.port() : blocking.port();
+    load.port = reactor.port();
     std::vector<double> ratios, idle_p99s, loaded_p99s;
     int floods = 0;
     for (int rep = 0; rep < kFloorReps; ++rep) {
@@ -937,8 +952,7 @@ int RunJson(const std::string& path) {
                 "%d cold builds %6.3f ms  ratio %.2fx  %s\n",
                 "planted-perf", "serving", idle_p99, floods, loaded_p99,
                 rec.speedup_vs_onthefly, ok ? "ok" : "MISMATCH");
-    if (have_reactor) reactor.Stop();
-    if (!have_reactor) blocking.Stop();
+    reactor.Stop();
     server.Shutdown();
   }
 

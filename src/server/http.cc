@@ -1,19 +1,14 @@
 #include "src/server/http.h"
 
-#include <arpa/inet.h>
 #include <netdb.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <sys/types.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <charconv>
 #include <cstdio>
-#include <cstring>
 
 #include "src/common/cancel.h"
 #include "src/server/json.h"
@@ -21,11 +16,6 @@
 namespace nucleus {
 
 namespace {
-
-constexpr std::size_t kMaxHeadBytes = kHttpMaxHeadBytes;
-constexpr std::size_t kMaxBodyBytes = kHttpMaxBodyBytes;
-
-std::string ErrorBody(const Status& s) { return HttpErrorBody(s); }
 
 // send() with MSG_NOSIGNAL so a vanished client surfaces as EPIPE, not a
 // process-killing SIGPIPE.
@@ -61,53 +51,6 @@ std::string_view Trim(std::string_view s) {
     s.remove_suffix(1);
   }
   return s;
-}
-
-// Streams response chunks as Transfer-Encoding: chunked frames, sending
-// the response head lazily before the first chunk (so a handler that
-// fails before producing anything can still get a proper error status).
-class SocketChunkSink : public ChunkSink {
- public:
-  SocketChunkSink(int fd, bool keep_alive)
-      : fd_(fd), keep_alive_(keep_alive) {}
-
-  bool Write(std::string_view chunk) override {
-    if (chunk.empty()) return ok_;  // "0\r\n" would terminate the stream
-    if (!EnsureHeader()) return false;
-    char size_line[32];
-    std::snprintf(size_line, sizeof(size_line), "%zx\r\n", chunk.size());
-    ok_ = ok_ && SendAll(fd_, size_line) && SendAll(fd_, chunk) &&
-          SendAll(fd_, "\r\n");
-    return ok_;
-  }
-
-  bool EnsureHeader() {
-    if (header_sent_) return ok_;
-    header_sent_ = true;
-    ok_ = SendAll(fd_, BuildChunkedStreamHead(keep_alive_));
-    return ok_;
-  }
-
-  bool Finish() {
-    if (!EnsureHeader()) return false;
-    ok_ = ok_ && SendAll(fd_, "0\r\n\r\n");
-    return ok_;
-  }
-
-  bool header_sent() const { return header_sent_; }
-
- private:
-  int fd_;
-  bool keep_alive_;
-  bool header_sent_ = false;
-  bool ok_ = true;
-};
-
-bool WriteJsonResponse(int fd, int http_status, std::string_view body,
-                       bool keep_alive) {
-  return SendAll(fd,
-                 BuildHttpResponseHead(http_status, body.size(), keep_alive)) &&
-         SendAll(fd, body);
 }
 
 }  // namespace
@@ -339,212 +282,6 @@ StatusOr<ServerRequest> RouteHttpRequest(const HttpRequest& request) {
   }
   return Status::NotFound("no route for " + request.method + " " +
                           request.path);
-}
-
-// ---------------------------------------------------------------------------
-// Server
-
-HttpServer::HttpServer(ServerCore* core, int port)
-    : core_(core), port_(port) {}
-
-HttpServer::~HttpServer() { Stop(); }
-
-Status HttpServer::Start() {
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) {
-    return Status::FailedPrecondition("socket() failed: " +
-                                      std::string(std::strerror(errno)));
-  }
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<std::uint16_t>(port_));
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) <
-      0) {
-    const Status s = Status::FailedPrecondition(
-        "bind(127.0.0.1:" + std::to_string(port_) +
-        ") failed: " + std::strerror(errno));
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return s;
-  }
-  if (::listen(listen_fd_, 64) < 0) {
-    const Status s = Status::FailedPrecondition(
-        "listen() failed: " + std::string(std::strerror(errno)));
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return s;
-  }
-  socklen_t len = sizeof(addr);
-  if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len) ==
-      0) {
-    port_ = ntohs(addr.sin_port);
-  }
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
-  return Status::Ok();
-}
-
-void HttpServer::Stop() {
-  if (stopping_.exchange(true)) {
-    // A second Stop still needs to wait for the first to finish joining,
-    // but the destructor is the only realistic second caller.
-    if (accept_thread_.joinable()) accept_thread_.join();
-    return;
-  }
-  if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
-  if (accept_thread_.joinable()) accept_thread_.join();
-  {
-    // Unblock connection threads parked in recv; they observe stopping_
-    // and exit. Fds are removed from conn_fds_ before being closed by
-    // their owners, so no fd here can have been reused.
-    std::lock_guard<std::mutex> lk(conn_mu_);
-    for (const int fd : conn_fds_) ::shutdown(fd, SHUT_RDWR);
-  }
-  std::vector<std::thread> threads;
-  {
-    std::lock_guard<std::mutex> lk(conn_mu_);
-    threads.swap(conn_threads_);
-  }
-  for (std::thread& t : threads) {
-    if (t.joinable()) t.join();
-  }
-}
-
-void HttpServer::AcceptLoop() {
-  while (!stopping_.load()) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      return;  // listener closed by Stop (or fatal)
-    }
-    if (stopping_.load()) {
-      ::close(fd);
-      return;
-    }
-    SetRecvTimeout(fd, 500);  // bounds Stop() latency, not client patience
-    // Response head and body go out as separate sends; without NODELAY,
-    // Nagle holds the second for the client's delayed ACK (~40ms).
-    const int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    std::lock_guard<std::mutex> lk(conn_mu_);
-    conn_fds_.push_back(fd);
-    conn_threads_.emplace_back([this, fd] { ServeConnection(fd); });
-  }
-}
-
-void HttpServer::ServeConnection(int fd) {
-  while (!stopping_.load() && ServeOne(fd)) {
-  }
-  {
-    std::lock_guard<std::mutex> lk(conn_mu_);
-    conn_fds_.erase(std::remove(conn_fds_.begin(), conn_fds_.end(), fd),
-                    conn_fds_.end());
-  }
-  ::close(fd);
-}
-
-bool HttpServer::ServeOne(int fd) {
-  // Read until the blank line ends the head (bytes past it start the
-  // body). The 500 ms receive timeout only paces the stopping_ check.
-  std::string buffer;
-  std::size_t head_end = std::string::npos;
-  char chunk[4096];
-  while (head_end == std::string::npos) {
-    if (stopping_.load()) return false;
-    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (n == 0) return false;  // client closed between requests
-    if (n < 0) {
-      if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
-      return false;
-    }
-    buffer.append(chunk, static_cast<std::size_t>(n));
-    head_end = buffer.find("\r\n\r\n");
-    if (head_end == std::string::npos && buffer.size() > kMaxHeadBytes) {
-      WriteJsonResponse(
-          fd, 400,
-          ErrorBody(Status::InvalidArgument("request head too large")),
-          false);
-      return false;
-    }
-  }
-
-  auto parsed = ParseHttpRequestHead(
-      std::string_view(buffer).substr(0, head_end + 2));
-  if (!parsed.ok()) {
-    WriteJsonResponse(fd, 400, ErrorBody(parsed.status()), false);
-    return false;
-  }
-  HttpRequest request = std::move(parsed).value();
-
-  std::size_t content_length = 0;
-  if (const auto it = request.headers.find("content-length");
-      it != request.headers.end()) {
-    const auto [next, ec] = std::from_chars(
-        it->second.data(), it->second.data() + it->second.size(),
-        content_length);
-    if (ec != std::errc() || next != it->second.data() + it->second.size() ||
-        content_length > kMaxBodyBytes) {
-      WriteJsonResponse(
-          fd, 400,
-          ErrorBody(Status::InvalidArgument("bad Content-Length")), false);
-      return false;
-    }
-  }
-  request.body = buffer.substr(head_end + 4);
-  while (request.body.size() < content_length) {
-    if (stopping_.load()) return false;
-    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (n == 0) return false;  // truncated body
-    if (n < 0) {
-      if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
-      return false;
-    }
-    request.body.append(chunk, static_cast<std::size_t>(n));
-  }
-  request.body.resize(content_length);  // ignore pipelined extra bytes
-
-  bool keep_alive = true;
-  if (const auto it = request.headers.find("connection");
-      it != request.headers.end() && ToLower(it->second) == "close") {
-    keep_alive = false;
-  }
-
-  auto routed = RouteHttpRequest(request);
-  if (!routed.ok()) {
-    WriteJsonResponse(fd, HttpStatusFor(routed.status().code()),
-                      ErrorBody(routed.status()), keep_alive);
-    return keep_alive;
-  }
-
-  if (request.method == "GET" && routed->endpoint == "hierarchy") {
-    // Streamed NDJSON dump with chunked framing; runs on this connection
-    // thread so a slow client never pins an admission-queue worker.
-    SocketChunkSink sink(fd, keep_alive);
-    const ServerResponse resp = core_->HandleStreaming(*routed, &sink);
-    if (!resp.status.ok() && !sink.header_sent()) {
-      WriteJsonResponse(fd, HttpStatusFor(resp.status.code()),
-                        resp.body.empty() ? ErrorBody(resp.status)
-                                          : resp.body,
-                        keep_alive);
-      return keep_alive;
-    }
-    if (!resp.status.ok()) return false;  // mid-stream abort: truncate
-    if (!sink.Finish()) return false;
-    return keep_alive;
-  }
-
-  const ServerResponse resp = core_->Handle(*routed);
-  if (!WriteJsonResponse(fd, HttpStatusFor(resp.status.code()), resp.body,
-                         keep_alive)) {
-    return false;
-  }
-  return keep_alive;
 }
 
 // ---------------------------------------------------------------------------

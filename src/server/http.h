@@ -1,5 +1,7 @@
-// Minimal HTTP/1.1 layer over ServerCore — blocking POSIX sockets, no
-// external dependencies. The wire protocol:
+// HTTP/1.1 wire layer over ServerCore, no external dependencies: the
+// request grammar and response framing the epoll reactor
+// (server/reactor.h) serves with, plus a blocking client (HttpFetch). The
+// wire protocol:
 //
 //   GET  /healthz                  liveness
 //   GET  /metricz                  metrics JSON (histograms, counters,
@@ -19,18 +21,16 @@
 // hierarchy dump. HTTP status codes map from Status codes (see
 // HttpStatusFor); error bodies are {"error":..., "code":...}.
 //
-// Parsing is split into pure functions (ParseHttpRequestHead,
-// ParseChunkedBody) so the wire grammar is unit-testable without sockets.
+// Parsing and framing are pure functions (ParseHttpRequestHead,
+// DecodeChunkedBody, RouteHttpRequest, BuildHttpResponseHead, ...) so the
+// wire grammar is unit-testable without sockets.
 #ifndef NUCLEUS_SERVER_HTTP_H_
 #define NUCLEUS_SERVER_HTTP_H_
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <string>
 #include <string_view>
-#include <thread>
-#include <vector>
 
 #include "src/common/status.h"
 #include "src/server/server_core.h"
@@ -67,14 +67,11 @@ StatusOr<std::string> DecodeChunkedBody(std::string_view in);
 int HttpStatusFor(StatusCode code);
 const char* HttpReasonFor(int http_status);
 
-/// The JSON error document for a Status: {"error":..., "code":...}. Both
-/// transports build error responses through this one function so their
-/// bodies stay byte-identical.
+/// The JSON error document for a Status: {"error":..., "code":...}. Every
+/// error response is built through this one function.
 std::string HttpErrorBody(const Status& s);
 
-/// Response head for a Content-Length JSON response. Shared between the
-/// blocking shell and the reactor so the full byte stream (not just the
-/// body) is transport-independent.
+/// Response head for a Content-Length JSON response.
 std::string BuildHttpResponseHead(int http_status, std::size_t content_length,
                                   bool keep_alive);
 
@@ -85,7 +82,7 @@ std::string BuildChunkedStreamHead(bool keep_alive);
 /// to `out`. An empty chunk is skipped — "0\r\n" would terminate the stream.
 void AppendChunkFrame(std::string& out, std::string_view chunk);
 
-/// Per-request read caps shared by both transports.
+/// Per-request read caps.
 inline constexpr std::size_t kHttpMaxHeadBytes = 64 * 1024;
 inline constexpr std::size_t kHttpMaxBodyBytes = 64 * 1024 * 1024;
 
@@ -95,44 +92,6 @@ inline constexpr std::size_t kHttpMaxBodyBytes = 64 * 1024 * 1024;
 /// re-encoded as a JSON object of strings, becomes the body. Returns
 /// kNotFound for unrouted paths.
 StatusOr<ServerRequest> RouteHttpRequest(const HttpRequest& request);
-
-class HttpServer {
- public:
-  /// Binds 127.0.0.1:port (port 0 = kernel-chosen ephemeral; read the
-  /// outcome from port() after Start).
-  HttpServer(ServerCore* core, int port);
-  ~HttpServer();
-
-  HttpServer(const HttpServer&) = delete;
-  HttpServer& operator=(const HttpServer&) = delete;
-
-  /// Binds, listens, and spawns the accept loop. kFailedPrecondition when
-  /// the socket cannot be bound.
-  Status Start();
-
-  /// Closes the listener and every connection, then joins all threads.
-  /// Idempotent; the destructor calls it.
-  void Stop();
-
-  /// The bound port (valid after a successful Start).
-  int port() const { return port_; }
-
- private:
-  void AcceptLoop();
-  void ServeConnection(int fd);
-  // Serves one request on the connection; returns false when the
-  // connection should close (error, Connection: close, or client EOF).
-  bool ServeOne(int fd);
-
-  ServerCore* core_;
-  int listen_fd_ = -1;
-  int port_;
-  std::atomic<bool> stopping_{false};
-  std::thread accept_thread_;
-  std::mutex conn_mu_;
-  std::vector<std::thread> conn_threads_;
-  std::vector<int> conn_fds_;  // open connections, for Stop() shutdown
-};
 
 /// A fetched HTTP response (blocking client used by the CLI and the CI
 /// smoke test). Chunked bodies arrive already de-chunked.

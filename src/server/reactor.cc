@@ -418,8 +418,7 @@ class ReactorServer::Loop {
       return;
     }
     const RequestClass cls = ClassifyEndpoint(routed->endpoint);
-    if (server_->config_.inline_fast_reads &&
-        (cls == RequestClass::kRead || cls == RequestClass::kAdmin)) {
+    if (cls == RequestClass::kRead || cls == RequestClass::kAdmin) {
       // Bounded-cost work runs right here: no queue handoff, no worker
       // wakeup — the fast path that makes warm reads scale with
       // connections instead of threads.
@@ -495,8 +494,7 @@ class ReactorServer::Loop {
     }
     c->gate = nullptr;
     if (!resp.status.ok() && !wrote) {
-      // Failed before the stream head went out: a plain JSON error, same
-      // as the blocking shell.
+      // Failed before the stream head went out: a plain JSON error.
       const std::string body =
           resp.body.empty() ? HttpErrorBody(resp.status) : resp.body;
       QueueResponse(c, HttpStatusFor(resp.status.code()), body, keep_alive);
@@ -773,9 +771,10 @@ void ReactorServer::RunStream(std::shared_ptr<LoopShared> shared,
                               bool keep_alive,
                               std::shared_ptr<StreamGate> gate,
                               std::uint64_t stream_id) {
-  // Builds chunk frames (stream head lazily, exactly like the blocking
-  // shell's SocketChunkSink) and posts them to the owning loop, blocking
-  // under the gate's high-water mark until the client drains.
+  // Builds chunk frames (stream head lazily, so a handler that fails
+  // before its first chunk still gets a proper error status) and posts
+  // them to the owning loop, blocking under the gate's high-water mark
+  // until the client drains.
   class PostSink : public ChunkSink {
    public:
     PostSink(LoopShared* shared, std::uint64_t conn_id,

@@ -1,16 +1,14 @@
-// Epoll reactor transport over ServerCore — the scalable alternative to
-// the thread-per-connection HttpServer in server/http.h. A small, fixed
-// set of event-loop threads own every connection: sockets are non-blocking,
-// request heads and bodies are parsed incrementally as bytes arrive, and
-// responses are buffered and drained through write-readiness, so thousands
-// of mostly-idle connections cost file descriptors, not threads.
+// Epoll reactor over ServerCore — the server's one wire transport. A
+// small, fixed set of event-loop threads own every connection: sockets
+// are non-blocking, request heads and bodies are parsed incrementally as
+// bytes arrive, and responses are buffered and drained through
+// write-readiness, so thousands of mostly-idle connections cost file
+// descriptors, not threads.
 //
 // Division of labor per request class (see ClassifyEndpoint):
 //   read/admin  — executed inline on the loop thread via HandleDirect
 //                 (bounded-cost work; skipping the queue handoff is what
-//                 makes warm reads fast at high connection counts). Can be
-//                 disabled with inline_fast_reads=false, which routes
-//                 everything through admission.
+//                 makes warm reads fast at high connection counts).
 //   build/update — submitted through ServerCore::HandleAsync; the loop
 //                 thread never blocks on the admission queue, and the
 //                 worker's completion callback posts the response bytes
@@ -18,11 +16,10 @@
 //                 connection at a time; further pipelined requests stay
 //                 buffered until the response is queued, preserving
 //                 response order.
-//   streaming   — GET /api/hierarchy runs on a dedicated stream thread
-//                 (exactly like the blocking transport runs it on the
-//                 connection thread); chunk frames are posted to the loop
-//                 with a high-water-mark gate so a slow client blocks its
-//                 producer, not the loop.
+//   streaming   — GET /api/hierarchy runs on a dedicated stream thread,
+//                 off the loops and the admission workers; chunk frames
+//                 are posted to the loop with a high-water-mark gate so a
+//                 slow client blocks its producer, not the loop.
 //
 // Connection hygiene, all visible in /metricz:
 //   reactor.accepted             connections accepted
@@ -33,8 +30,8 @@
 //                                (read_deadline_ms — the slowloris guard)
 //
 // The wire bytes — response heads, error bodies, chunk framing — come from
-// the same helpers as the blocking transport (http.h), so the two
-// transports are byte-identical for the same request sequence.
+// the shared helpers in http.h, so a response is exactly the framed
+// ServerCore answer for the same request sequence.
 //
 // Linux-only (epoll + eventfd): Supported() is false elsewhere and Start()
 // returns kFailedPrecondition.
@@ -71,9 +68,6 @@ struct ReactorConfig {
   /// received) must deliver the rest within this long, or it is answered
   /// 408 and closed — the slowloris guard. 0 disables.
   std::int64_t read_deadline_ms = 10000;
-  /// Execute read/admin-class requests inline on the loop thread instead
-  /// of through the admission queue.
-  bool inline_fast_reads = true;
 };
 
 class ReactorServer {

@@ -1,8 +1,9 @@
-// Battery for the epoll reactor transport. The contract under test:
-//   - the reactor speaks the same HTTP/JSON the blocking shell does —
-//     response bodies are byte-identical across transports for every
-//     timing-free endpoint, and semantically identical where responses
-//     carry wall-clock fields;
+// Battery for the epoll reactor, the server's wire transport. The
+// contract under test:
+//   - every response is exactly ServerCore's answer for the same request
+//     in the shared http.h framing — byte-identical for every timing-free
+//     endpoint, and semantically identical where responses carry
+//     wall-clock fields;
 //   - the event loops parse incrementally: a request delivered one byte
 //     at a time, or many requests pipelined in one segment, both work at
 //     1, 4, and 8 loops (the TSAN job runs this suite);
@@ -167,6 +168,24 @@ bool RecvOneResponse(int fd, std::string* buffer, std::string* out) {
   }
 }
 
+// Reads exactly `n` bytes off fd through the same carried `buffer` — for
+// chunked responses, whose expected length the caller already knows.
+bool RecvExactly(int fd, std::size_t n, std::string* buffer,
+                 std::string* out) {
+  char chunk[4096];
+  while (buffer->size() < n) {
+    const ssize_t got = ::recv(fd, chunk, sizeof(chunk), 0);
+    if (got <= 0) {
+      if (got < 0 && errno == EINTR) continue;
+      return false;
+    }
+    buffer->append(chunk, static_cast<std::size_t>(got));
+  }
+  *out = buffer->substr(0, n);
+  buffer->erase(0, n);
+  return true;
+}
+
 int StatusOfRaw(const std::string& response) {
   const std::size_t sp = response.find(' ');
   if (sp == std::string::npos) return 0;
@@ -191,8 +210,8 @@ bool Dechunk(std::string_view raw, std::string* out) {
   }
 }
 
-// The full endpoint battery over a reactor at 1, 4, and 8 loops —
-// mirroring server_test's HttpServerTest.SocketRoundTrip.
+// The full endpoint battery over real loopback sockets at 1, 4, and 8
+// loops: status mapping, JSON bodies, chunked hierarchy streaming.
 TEST(ReactorServerTest, SocketRoundTripAcrossLoopCounts) {
   SKIP_IF_NO_REACTOR();
   for (const int loops : {1, 4, 8}) {
@@ -269,18 +288,28 @@ TEST(ReactorServerTest, SocketRoundTripAcrossLoopCounts) {
   }
 }
 
-// Same deterministic request sequence against a blocking-transport core
-// and a reactor-transport core: timing-free endpoints must answer with
-// byte-identical bodies; decompose (which reports wall-clock) must match
-// on every stable field including the full kappa array.
-TEST(ReactorServerTest, ResponsesMatchBlockingTransportBytewise) {
+// Collects what a streaming handler writes, in order.
+class StringSink : public ChunkSink {
+ public:
+  bool Write(std::string_view chunk) override {
+    chunks.emplace_back(chunk);
+    return true;
+  }
+  std::vector<std::string> chunks;
+};
+
+// The same deterministic request sequence goes to a reactor-fronted core
+// over one socket and, in process, to a twin core: every timing-free
+// response must be exactly the twin's answer in the shared framing (head
+// + body, or stream head + chunk frames + terminator); decompose (which
+// reports wall-clock) must match on every stable field including the full
+// kappa array.
+TEST(ReactorServerTest, ResponsesMatchServerCoreBytewise) {
   SKIP_IF_NO_REACTOR();
-  ServerCore blocking_core(Config(2));
+  ServerCore twin(Config(2));
   ServerCore reactor_core(Config(2));
-  ASSERT_TRUE(blocking_core.registry().Add("g", FastGraph()).ok());
+  ASSERT_TRUE(twin.registry().Add("g", FastGraph()).ok());
   ASSERT_TRUE(reactor_core.registry().Add("g", FastGraph()).ok());
-  HttpServer blocking(&blocking_core, /*port=*/0);
-  ASSERT_TRUE(blocking.Start().ok());
   ReactorServer reactor(&reactor_core, RConfig(2));
   ASSERT_TRUE(reactor.Start().ok());
 
@@ -308,40 +337,77 @@ TEST(ReactorServerTest, ResponsesMatchBlockingTransportBytewise) {
       {"GET", "/nope", "", true},
       {"POST", "/api/decompose", R"({"graph":"g","kind":"quux"})", true},
   };
+  const int fd = RawConnect(reactor.port());
+  ASSERT_GE(fd, 0);
+  std::string buffer;
   for (const Case& c : battery) {
     SCOPED_TRACE(std::string(c.method) + " " + c.target + " " + c.body);
-    auto a = HttpFetch("127.0.0.1", blocking.port(), c.method, c.target,
-                       c.body);
-    auto b = HttpFetch("127.0.0.1", reactor.port(), c.method, c.target,
-                       c.body);
-    ASSERT_TRUE(a.ok()) << a.status().ToString();
-    ASSERT_TRUE(b.ok()) << b.status().ToString();
-    EXPECT_EQ(a->status, b->status);
-    if (c.byte_identical) {
-      EXPECT_EQ(a->body, b->body);
+    const std::string body = c.body;
+    std::string head = std::string(c.method) + " " + c.target +
+                       " HTTP/1.1\r\nHost: t\r\n";
+    if (!body.empty()) {
+      head += "Content-Length: " + std::to_string(body.size()) + "\r\n";
+    }
+    ASSERT_TRUE(SendAll(fd, head + "\r\n" + body));
+
+    auto parsed = ParseHttpRequestHead(head);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    parsed->body = body;
+    const auto routed = RouteHttpRequest(*parsed);
+    std::string expected;
+    std::string got;
+    if (!routed.ok()) {
+      const std::string error = HttpErrorBody(routed.status());
+      expected = BuildHttpResponseHead(HttpStatusFor(routed.status().code()),
+                                       error.size(), /*keep_alive=*/true) +
+                 error;
+    } else if (routed->endpoint == "hierarchy") {
+      StringSink sink;
+      const ServerResponse resp = twin.HandleStreaming(*routed, &sink);
+      ASSERT_TRUE(resp.status.ok()) << resp.status.ToString();
+      expected = BuildChunkedStreamHead(/*keep_alive=*/true);
+      for (const std::string& chunk : sink.chunks) {
+        AppendChunkFrame(expected, chunk);
+      }
+      expected += "0\r\n\r\n";
+      ASSERT_TRUE(RecvExactly(fd, expected.size(), &buffer, &got));
+      EXPECT_EQ(got, expected);
+      continue;
     } else {
-      auto a_json = JsonValue::Parse(a->body);
-      auto b_json = JsonValue::Parse(b->body);
-      ASSERT_TRUE(a_json.ok() && b_json.ok());
-      for (const char* key : {"graph", "kind", "method"}) {
-        EXPECT_EQ(a_json->GetString(key).value(),
-                  b_json->GetString(key).value());
-      }
-      for (const char* key : {"num_r_cliques", "max_kappa", "iterations"}) {
-        EXPECT_EQ(a_json->GetInt(key).value(), b_json->GetInt(key).value());
-      }
-      const auto& a_kappa = a_json->Find("kappa")->AsArray();
-      const auto& b_kappa = b_json->Find("kappa")->AsArray();
-      ASSERT_EQ(a_kappa.size(), b_kappa.size());
-      for (std::size_t i = 0; i < a_kappa.size(); ++i) {
-        ASSERT_EQ(a_kappa[i].AsInt(), b_kappa[i].AsInt());
-      }
+      const ServerResponse resp = twin.Handle(*routed);
+      expected = BuildHttpResponseHead(HttpStatusFor(resp.status.code()),
+                                       resp.body.size(), /*keep_alive=*/true) +
+                 resp.body;
+    }
+    ASSERT_TRUE(RecvOneResponse(fd, &buffer, &got));
+    if (c.byte_identical) {
+      EXPECT_EQ(got, expected);
+      continue;
+    }
+    EXPECT_EQ(StatusOfRaw(got), StatusOfRaw(expected));
+    auto got_json = JsonValue::Parse(got.substr(got.find("\r\n\r\n") + 4));
+    auto want_json =
+        JsonValue::Parse(expected.substr(expected.find("\r\n\r\n") + 4));
+    ASSERT_TRUE(got_json.ok() && want_json.ok());
+    for (const char* key : {"graph", "kind", "method"}) {
+      EXPECT_EQ(got_json->GetString(key).value(),
+                want_json->GetString(key).value());
+    }
+    for (const char* key : {"num_r_cliques", "max_kappa", "iterations"}) {
+      EXPECT_EQ(got_json->GetInt(key).value(),
+                want_json->GetInt(key).value());
+    }
+    const auto& got_kappa = got_json->Find("kappa")->AsArray();
+    const auto& want_kappa = want_json->Find("kappa")->AsArray();
+    ASSERT_EQ(got_kappa.size(), want_kappa.size());
+    for (std::size_t i = 0; i < got_kappa.size(); ++i) {
+      ASSERT_EQ(got_kappa[i].AsInt(), want_kappa[i].AsInt());
     }
   }
+  ::close(fd);
   reactor.Stop();
-  blocking.Stop();
   reactor_core.Shutdown();
-  blocking_core.Shutdown();
+  twin.Shutdown();
 }
 
 // A request trickled in one byte per segment still parses: the loops keep
@@ -477,7 +543,7 @@ TEST(ReactorServerTest, TinySocketBuffersStreamCompletely) {
 
 // Eight concurrent cold (3,4) requests through real sockets cost ONE
 // session build — the admission queue and coalescing sit behind the
-// reactor exactly as they do behind the blocking shell.
+// reactor exactly as they do behind in-process Handle calls.
 TEST(ReactorServerTest, ConcurrentColdRequestsCoalesceIntoOneBuild) {
   SKIP_IF_NO_REACTOR();
   ServerCore core(Config(8));

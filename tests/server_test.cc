@@ -1,5 +1,5 @@
-// Concurrent battery for the serving layer (ServerCore + GraphRegistry +
-// HttpServer). The serving contract under test:
+// Concurrent battery for the serving layer (ServerCore + GraphRegistry).
+// The serving contract under test:
 //   - coalescing: N concurrent cold requests for the same (graph, kind)
 //     cost exactly ONE session build — riders share the leader's response
 //     and never reach the session;
@@ -10,9 +10,8 @@
 //     it expired queued or mid-compute) and the session stays bitwise
 //     reusable — the retry matches an untouched oracle;
 //   - multi-tenancy: reads racing commits and evictions racing reads are
-//     safe at 1, 4, and 8 workers (the TSAN job runs this suite);
-//   - the HTTP shell speaks real sockets: status mapping, JSON bodies,
-//     chunked hierarchy streaming.
+//     safe at 1, 4, and 8 workers (the TSAN job runs this suite).
+// The wire transport over real sockets is reactor_test's battery.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -29,7 +28,6 @@
 
 #include "src/core/session.h"
 #include "src/graph/generators.h"
-#include "src/server/http.h"
 #include "src/server/json.h"
 #include "src/server/registry.h"
 #include "src/server/server_core.h"
@@ -529,99 +527,6 @@ TEST(GraphRegistryTest, DuplicateNameIsFailedPrecondition) {
             StatusCode::kFailedPrecondition);
   EXPECT_EQ(registry.Load("", "/nonexistent").status().code(),
             StatusCode::kNotFound);
-}
-
-// End-to-end over a real loopback socket: status mapping, JSON bodies,
-// chunked hierarchy streaming, keep-alive reuse by the client.
-TEST(HttpServerTest, SocketRoundTrip) {
-  ServerCore core(Config(2));
-  ASSERT_TRUE(core.registry().Add("g", FastGraph()).ok());
-  HttpServer server(&core, /*port=*/0);
-  ASSERT_TRUE(server.Start().ok());
-  const int port = server.port();
-  ASSERT_GT(port, 0);
-
-  auto health = HttpFetch("127.0.0.1", port, "GET", "/healthz", "");
-  ASSERT_TRUE(health.ok()) << health.status().ToString();
-  EXPECT_EQ(health->status, 200);
-  EXPECT_TRUE(JsonValue::Parse(health->body)->GetBool("ok").value());
-
-  auto decompose = HttpFetch(
-      "127.0.0.1", port, "POST", "/api/decompose",
-      R"({"graph":"g","kind":"truss","method":"peel"})");
-  ASSERT_TRUE(decompose.ok()) << decompose.status().ToString();
-  EXPECT_EQ(decompose->status, 200);
-  auto d_body = JsonValue::Parse(decompose->body);
-  ASSERT_TRUE(d_body.ok());
-  EXPECT_TRUE(d_body->GetBool("exact").value());
-
-  // GET form: query parameters instead of a JSON body.
-  auto get_form = HttpFetch("127.0.0.1", port, "GET",
-                            "/api/decompose?graph=g&kind=core&threads=2",
-                            "");
-  ASSERT_TRUE(get_form.ok());
-  EXPECT_EQ(get_form->status, 200);
-
-  auto stream = HttpFetch("127.0.0.1", port, "GET",
-                          "/api/hierarchy?graph=g&kind=core", "");
-  ASSERT_TRUE(stream.ok()) << stream.status().ToString();
-  EXPECT_EQ(stream->status, 200);
-  EXPECT_EQ(stream->headers["transfer-encoding"], "chunked");
-  // NDJSON: a header line plus one line per node, each parseable.
-  std::size_t lines = 0;
-  std::size_t pos = 0;
-  while (pos < stream->body.size()) {
-    std::size_t eol = stream->body.find('\n', pos);
-    if (eol == std::string::npos) eol = stream->body.size();
-    ASSERT_TRUE(
-        JsonValue::Parse(stream->body.substr(pos, eol - pos)).ok());
-    ++lines;
-    pos = eol + 1;
-  }
-  EXPECT_GE(lines, 2u);
-
-  auto missing = HttpFetch("127.0.0.1", port, "POST", "/api/decompose",
-                           R"({"graph":"absent"})");
-  ASSERT_TRUE(missing.ok());
-  EXPECT_EQ(missing->status, 404);
-
-  auto bad_route = HttpFetch("127.0.0.1", port, "GET", "/nope", "");
-  ASSERT_TRUE(bad_route.ok());
-  EXPECT_EQ(bad_route->status, 404);
-
-  auto update = HttpFetch("127.0.0.1", port, "POST", "/api/update",
-                          R"({"graph":"g","insert":[[0,100]]})");
-  ASSERT_TRUE(update.ok());
-  EXPECT_EQ(update->status, 200);
-
-  auto metricz = HttpFetch("127.0.0.1", port, "GET", "/metricz", "");
-  ASSERT_TRUE(metricz.ok());
-  EXPECT_EQ(metricz->status, 200);
-  auto m_body = JsonValue::Parse(metricz->body);
-  ASSERT_TRUE(m_body.ok()) << metricz->body;
-  EXPECT_GE(m_body->Find("counters")->AsObject().size(), 1u);
-
-  server.Stop();
-  core.Shutdown();
-}
-
-TEST(HttpServerTest, ShutdownWithInflightWorkIsClean) {
-  auto core = std::make_unique<ServerCore>(Config(2));
-  ASSERT_TRUE(core->registry().Add("g", SlowGraph()).ok());
-  HttpServer server(core.get(), /*port=*/0);
-  ASSERT_TRUE(server.Start().ok());
-
-  std::thread client([&, port = server.port()] {
-    // May complete or be cut off by the shutdown — both are fine; what is
-    // not fine is a hang or a crash.
-    (void)HttpFetch("127.0.0.1", port, "POST", "/api/decompose",
-                    R"({"graph":"g","kind":"nucleus34"})", 30000);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
-  core->Shutdown();  // fires the server-wide cancel; in-flight work unwinds
-  server.Stop();
-  client.join();
-  core.reset();
 }
 
 // ---------------------------------------------------------------------------

@@ -3,24 +3,21 @@
 //   nucleus_server --port 8080 --preload web=graphs/web.txt
 //       --workers 8 --queue-depth 128 --memory-budget-mb 4096
 //
-// Serves the endpoints documented in src/server/http.h over one of two
-// transports: the epoll reactor (default; a few event-loop threads own
-// every connection) or the blocking thread-per-connection shell
-// (--transport blocking). --port 0 binds an ephemeral port (printed on
-// stdout), which is what the CI smoke test uses. Graphs can be preloaded
+// Serves the endpoints documented in src/server/http.h through the epoll
+// reactor (src/server/reactor.h: a few event-loop threads own every
+// connection). The reactor needs Linux; elsewhere the server reports that
+// it cannot start and exits 1. --port 0 binds an ephemeral port (printed
+// on stdout), which is what the CI smoke test uses. Graphs can be preloaded
 // at startup (name=path, repeatable) or loaded at runtime through
 // POST /api/load.
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <memory>
 #include <semaphore>
 #include <string>
 #include <vector>
 
-#include "src/server/http.h"
 #include "src/server/reactor.h"
 #include "src/server/server_core.h"
 
@@ -37,9 +34,8 @@ void HandleSignal(int) { g_shutdown.release(); }
       "          [--queue-depth N] [--memory-budget-mb N]\n"
       "          [--arena-budget-mb N] [--default-deadline-ms N]\n"
       "          [--materialize auto|on|off|compressed]\n"
-      "          [--transport reactor|blocking] [--loops N]\n"
-      "          [--max-connections N] [--idle-timeout-ms N]\n"
-      "          [--read-deadline-ms N] [--no-inline-reads]\n"
+      "          [--loops N] [--max-connections N]\n"
+      "          [--idle-timeout-ms N] [--read-deadline-ms N]\n"
       "          [--class-weight CLASS=N ...] [--class-limit CLASS=N ...]\n"
       "          [--negcache-ttl-ms N] [--batch-nice N]\n"
       "\n"
@@ -58,8 +54,6 @@ void HandleSignal(int) { g_shutdown.release(); }
       "                         auto (budget ladder: csr, then compressed,\n"
       "                         then on the fly), on, off, or compressed\n"
       "                         (default auto)\n"
-      "  --transport T          reactor (epoll event loops; default) or\n"
-      "                         blocking (thread per connection)\n"
       "  --loops N              reactor event-loop threads (default 2)\n"
       "  --max-connections N    open-connection cap; accepts beyond it are\n"
       "                         answered 503 (default 1024)\n"
@@ -68,9 +62,6 @@ void HandleSignal(int) { g_shutdown.release(); }
       "  --read-deadline-ms N   close connections that stall mid-request\n"
       "                         after N ms with 408 (default 10000;\n"
       "                         0 disables)\n"
-      "  --no-inline-reads      route read/admin requests through the\n"
-      "                         admission queue instead of executing them\n"
-      "                         on the reactor loops\n"
       "  --class-weight CLASS=N dequeue share for an admission class\n"
       "                         (read, build, update, admin)\n"
       "  --class-limit CLASS=N  concurrent-execution cap for a class\n"
@@ -132,7 +123,6 @@ int main(int argc, char** argv) {
   int port = 8080;
   nucleus::ServerConfig config;
   nucleus::ReactorConfig reactor_config;
-  bool use_reactor = true;
   std::vector<std::pair<std::string, std::string>> preloads;
 
   for (int i = 1; i < argc; ++i) {
@@ -175,17 +165,6 @@ int main(int argc, char** argv) {
         Usage(argv[0]);
       }
       config.default_materialize = mode;
-    } else if (arg == "--transport") {
-      const std::string transport = next();
-      if (transport == "reactor") {
-        use_reactor = true;
-      } else if (transport == "blocking") {
-        use_reactor = false;
-      } else {
-        std::fprintf(stderr, "%s: --transport wants reactor|blocking, got %s\n",
-                     argv[0], transport.c_str());
-        Usage(argv[0]);
-      }
     } else if (arg == "--loops") {
       reactor_config.loops =
           static_cast<int>(ParseInt(argv[0], "--loops", next()));
@@ -198,8 +177,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--read-deadline-ms") {
       reactor_config.read_deadline_ms =
           ParseInt(argv[0], "--read-deadline-ms", next());
-    } else if (arg == "--no-inline-reads") {
-      reactor_config.inline_fast_reads = false;
     } else if (arg == "--class-weight") {
       ParseClassSpec(argv[0], "--class-weight", next(), config,
                      /*weight=*/true);
@@ -229,13 +206,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (use_reactor && !nucleus::ReactorServer::Supported()) {
-    std::fprintf(stderr,
-                 "reactor transport unsupported on this platform; "
-                 "falling back to --transport blocking\n");
-    use_reactor = false;
-  }
-
   nucleus::ServerCore core(config);
   for (const auto& [name, path] : preloads) {
     auto loaded = core.registry().Load(name, path);
@@ -249,37 +219,22 @@ int main(int argc, char** argv) {
                  (*loaded)->session.graph().NumEdges());
   }
 
-  std::unique_ptr<nucleus::ReactorServer> reactor;
-  std::unique_ptr<nucleus::HttpServer> blocking;
-  int bound_port = 0;
-  if (use_reactor) {
-    reactor_config.port = port;
-    reactor = std::make_unique<nucleus::ReactorServer>(&core, reactor_config);
-    if (nucleus::Status s = reactor->Start(); !s.ok()) {
-      std::fprintf(stderr, "start failed: %s\n", s.ToString().c_str());
-      return 1;
-    }
-    bound_port = reactor->port();
-  } else {
-    blocking = std::make_unique<nucleus::HttpServer>(&core, port);
-    if (nucleus::Status s = blocking->Start(); !s.ok()) {
-      std::fprintf(stderr, "start failed: %s\n", s.ToString().c_str());
-      return 1;
-    }
-    bound_port = blocking->port();
+  reactor_config.port = port;
+  nucleus::ReactorServer reactor(&core, reactor_config);
+  if (nucleus::Status s = reactor.Start(); !s.ok()) {
+    std::fprintf(stderr, "start failed: %s\n", s.ToString().c_str());
+    return 1;
   }
-  std::fprintf(stderr, "transport: %s\n", use_reactor ? "reactor" : "blocking");
   // Parsed by scripts driving the server (the CI smoke test binds port 0
   // and reads the chosen port from this line), so keep it stable.
-  std::printf("listening on 127.0.0.1:%d\n", bound_port);
+  std::printf("listening on 127.0.0.1:%d\n", reactor.port());
   std::fflush(stdout);
 
   std::signal(SIGINT, HandleSignal);
   std::signal(SIGTERM, HandleSignal);
   g_shutdown.acquire();
   std::fprintf(stderr, "shutting down\n");
-  if (reactor) reactor->Stop();
-  if (blocking) blocking->Stop();
+  reactor.Stop();
   core.Shutdown();
   return 0;
 }
