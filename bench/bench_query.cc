@@ -1,48 +1,61 @@
-// Experiment E9 — the paper's query-driven scenario: estimate the core and
-// truss numbers of a sample of query vertices/edges from a bounded-radius
-// neighborhood only, without running the global decomposition. Reported per
-// radius: estimation quality, region size (work), and runtime vs global.
+// Experiment E9 — the paper's query-driven scenario: estimate the core,
+// truss and (3,4) numbers of a sample of query vertices/edges/triangles
+// from a bounded-radius neighborhood only, without running the global
+// decomposition. Reported per radius: estimation quality, region size
+// (work), and runtime vs global.
 #include <cstdio>
 
 #include "bench/bench_util.h"
 #include "src/clique/edge_index.h"
+#include "src/clique/triangles.h"
 #include "src/common/rng.h"
 #include "src/common/timer.h"
 #include "src/local/query.h"
 #include "src/metrics/accuracy.h"
 #include "src/peel/generic_peel.h"
-#include "src/peel/ktruss.h"
 
 namespace nucleus::bench {
 namespace {
 
-void CoreSeries(const Dataset& d) {
-  const Graph& g = d.graph;
-  Timer t;
-  const auto kappa = PeelCore(g).kappa;
-  const double global_s = t.Seconds();
-  Rng rng(5);
-  std::vector<VertexId> queries;
-  for (auto i : rng.SampleWithoutReplacement(g.NumVertices(), 50)) {
-    queries.push_back(static_cast<VertexId>(i));
+// One series: 50 seeded queries out of the kind's n ids, estimated at
+// radius 0..max_radius by `estimate(queries, options)`, scored against
+// the globally peeled kappa (peel time `global_s`).
+template <typename Estimate>
+void Series(const Dataset& d, const char* kind, std::uint64_t seed,
+            const std::vector<Degree>& kappa, double global_s,
+            int max_radius, Estimate&& estimate) {
+  Rng rng(seed);
+  std::vector<CliqueId> queries;
+  for (auto i : rng.SampleWithoutReplacement(kappa.size(), 50)) {
+    queries.push_back(static_cast<CliqueId>(i));
   }
   std::vector<Degree> exact;
-  for (VertexId q : queries) exact.push_back(kappa[q]);
-  std::printf("%-18s core   global peel: %ss, queries=50\n", d.name.c_str(),
-              Fmt(global_s).c_str());
+  for (CliqueId q : queries) exact.push_back(kappa[q]);
+  std::printf("%-18s %-6s global peel: %ss, queries=50\n", d.name.c_str(),
+              kind, Fmt(global_s).c_str());
   std::printf("  %7s %9s %9s %9s %12s\n", "radius", "sec", "exact%",
               "meanerr", "region");
-  for (int radius = 0; radius <= 4; ++radius) {
+  for (int radius = 0; radius <= max_radius; ++radius) {
     QueryOptions opt;
     opt.radius = radius;
-    t.Restart();
-    const auto est = EstimateCoreNumbers(g, queries, opt);
+    Timer t;
+    const QueryEstimate est = estimate(queries, opt);
     const double secs = t.Seconds();
     const auto acc = ComputeAccuracy(est.estimates, exact);
     std::printf("  %7d %9s %9s %9s %12zu\n", radius, Fmt(secs).c_str(),
                 Fmt(100 * acc.exact_fraction, 1).c_str(),
                 Fmt(acc.mean_abs_error, 3).c_str(), est.region_size);
   }
+}
+
+void CoreSeries(const Dataset& d) {
+  const Graph& g = d.graph;
+  Timer t;
+  const auto kappa = PeelCore(g).kappa;
+  Series(d, "core", 5, kappa, t.Seconds(), 4,
+         [&](std::span<const CliqueId> q, const QueryOptions& opt) {
+           return EstimateCoreNumbers(g, q, opt);
+         });
 }
 
 void TrussSeries(const Dataset& d) {
@@ -50,33 +63,25 @@ void TrussSeries(const Dataset& d) {
   const EdgeIndex edges(g);
   Timer t;
   const auto kappa = PeelTruss(g, edges).kappa;
-  const double global_s = t.Seconds();
-  Rng rng(9);
-  std::vector<EdgeId> queries;
-  for (auto i : rng.SampleWithoutReplacement(edges.NumEdges(), 50)) {
-    queries.push_back(static_cast<EdgeId>(i));
-  }
-  std::vector<Degree> exact;
-  for (EdgeId q : queries) exact.push_back(kappa[q]);
-  std::printf("%-18s truss  global peel: %ss, queries=50\n", d.name.c_str(),
-              Fmt(global_s).c_str());
-  std::printf("  %7s %9s %9s %9s %12s\n", "radius", "sec", "exact%",
-              "meanerr", "region");
-  for (int radius = 0; radius <= 3; ++radius) {
-    QueryOptions opt;
-    opt.radius = radius;
-    t.Restart();
-    const auto est = EstimateTrussNumbers(g, edges, queries, opt);
-    const double secs = t.Seconds();
-    const auto acc = ComputeAccuracy(est.estimates, exact);
-    std::printf("  %7d %9s %9s %9s %12zu\n", radius, Fmt(secs).c_str(),
-                Fmt(100 * acc.exact_fraction, 1).c_str(),
-                Fmt(acc.mean_abs_error, 3).c_str(), est.region_size);
-  }
+  Series(d, "truss", 9, kappa, t.Seconds(), 3,
+         [&](std::span<const CliqueId> q, const QueryOptions& opt) {
+           return EstimateTrussNumbers(g, edges, q, opt);
+         });
+}
+
+void Nucleus34Series(const Dataset& d) {
+  const Graph& g = d.graph;
+  const TriangleIndex tris(g);
+  Timer t;
+  const auto kappa = PeelNucleus34(g, tris).kappa;
+  Series(d, "(3,4)", 13, kappa, t.Seconds(), 2,
+         [&](std::span<const CliqueId> q, const QueryOptions& opt) {
+           return EstimateNucleus34Numbers(g, tris, q, opt);
+         });
 }
 
 void Run() {
-  Header("E9 — query-driven core/truss estimation",
+  Header("E9 — query-driven core/truss/(3,4) estimation",
          "estimate kappa for 50 random queries from an h-hop region only; "
          "exact% vs region size is the trade-off");
   for (const auto& d : MediumSuite()) {
@@ -88,6 +93,7 @@ void Run() {
   for (const auto& d : SmallSuite()) {
     if (d.name == "rmat-web-s" || d.name == "planted-comm-s") {
       TrussSeries(d);
+      Nucleus34Series(d);
     }
   }
   std::printf("\npaper shape check: accuracy rises quickly with radius "

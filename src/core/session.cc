@@ -151,8 +151,9 @@ struct CoreKind {
   static Space MakeSpace(const Graph& g, const Index&) { return Space(g); }
   static QueryEstimate Estimate(const Graph& g, const Index&,
                                 std::span<const CliqueId> ids,
-                                const QueryOptions& options) {
-    return EstimateCoreNumbers(g, ids, options);
+                                const QueryOptions& options,
+                                RunControl ctl) {
+    return EstimateCoreNumbers(g, ids, options, ctl);
   }
 };
 
@@ -175,8 +176,9 @@ struct TrussKind {
   }
   static QueryEstimate Estimate(const Graph& g, const Index& edges,
                                 std::span<const CliqueId> ids,
-                                const QueryOptions& options) {
-    return EstimateTrussNumbers(g, edges, ids, options);
+                                const QueryOptions& options,
+                                RunControl ctl) {
+    return EstimateTrussNumbers(g, edges, ids, options, ctl);
   }
 };
 
@@ -200,8 +202,9 @@ struct Nucleus34Kind {
   }
   static QueryEstimate Estimate(const Graph& g, const Index& tris,
                                 std::span<const CliqueId> ids,
-                                const QueryOptions& options) {
-    return EstimateNucleus34Numbers(g, tris, ids, options);
+                                const QueryOptions& options,
+                                RunControl ctl) {
+    return EstimateNucleus34Numbers(g, tris, ids, options, ctl);
   }
 };
 
@@ -741,7 +744,7 @@ StatusOr<NucleusHierarchy> NucleusSession::HierarchyFor(
 
 StatusOr<QueryEstimate> NucleusSession::EstimateQueries(
     DecompositionKind kind, std::span<const CliqueId> ids,
-    const QueryOptions& options) {
+    const QueryOptions& options, RunControl ctl) {
   if (options.radius < 0) {
     return Status::InvalidArgument("QueryOptions::radius must be >= 0");
   }
@@ -756,8 +759,8 @@ StatusOr<QueryEstimate> NucleusSession::EstimateQueries(
   BumpStat(&SessionStats::query_calls);
   return VisitKind(kind, [&](auto k) -> StatusOr<QueryEstimate> {
     using K = decltype(k);
-    auto index = IndexShared<typename K::Index>(options.threads, nullptr,
-                                                RunControl());
+    auto index =
+        IndexShared<typename K::Index>(options.threads, nullptr, ctl);
     if (!index.ok()) return index.status();
     const typename K::Space space = K::MakeSpace(*graph_, **index);
     const std::string noun = K::kIdNoun;
@@ -773,7 +776,9 @@ StatusOr<QueryEstimate> NucleusSession::EstimateQueries(
             ": " + std::to_string(id));
       }
     }
-    return K::Estimate(*graph_, **index, ids, options);
+    QueryEstimate estimate = K::Estimate(*graph_, **index, ids, options, ctl);
+    if (!estimate.status.ok()) return estimate.status;
+    return estimate;
   });
 }
 

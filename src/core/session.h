@@ -345,10 +345,12 @@ class NucleusSession {
   /// TriangleIndex ids (kNucleus34); tombstoned ids are rejected as
   /// kInvalidArgument. Estimates are certified upper bounds of kappa,
   /// tightening monotonically with options.radius. Thread-safe; concurrent
-  /// callers share the cached indices.
+  /// callers share the cached indices. `ctl` bounds a cold index build and
+  /// the sweeps; a stopped query returns ctl.StopStatus().
   StatusOr<QueryEstimate> EstimateQueries(DecompositionKind kind,
                                           std::span<const CliqueId> ids,
-                                          const QueryOptions& options = {});
+                                          const QueryOptions& options = {},
+                                          RunControl ctl = {});
 
   /// A mutation handle over the session's graph: insert/remove edges with
   /// exact local repair of core numbers (DynamicCoreMaintainer) and — when

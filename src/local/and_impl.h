@@ -73,7 +73,10 @@ std::vector<CliqueId> MakeAndOrder(const Space& space,
 }
 
 /// The sweep loop proper, with tau_0 handed in (a by-product of both the
-/// on-the-fly decision path and the CSR build).
+/// on-the-fly decision path and the CSR build). `initial` may be longer
+/// than space.NumRCliques(): co-member ids at or past NumRCliques() then
+/// name constants carried at the tail of tau_0, read but never swept (the
+/// query region's frozen boundary, local/query.cc).
 template <typename Space>
 LocalResult AndSweeps(const Space& space, const AndOptions& options,
                       std::vector<Degree> initial, RunControl ctl = {}) {
@@ -95,8 +98,9 @@ LocalResult AndSweeps(const Space& space, const AndOptions& options,
         .load(std::memory_order_relaxed);
   };
 
-  // Notification flags: c(R) of Algorithm 3.
-  std::vector<char> active(n, 1);
+  // Notification flags: c(R) of Algorithm 3. Sized to tau, so waking a
+  // frozen id past n is harmless.
+  std::vector<char> active(result.tau.size(), 1);
 
   if (local.trace != nullptr) {
     local.trace->Clear();

@@ -1,106 +1,137 @@
 #include "src/local/query.h"
 
-#include <algorithm>
 #include <queue>
 #include <unordered_map>
 
 #include "src/clique/intersect.h"
-#include "src/common/h_index.h"
+#include "src/clique/spaces.h"
+#include "src/local/and_impl.h"
 
 namespace nucleus {
 
 namespace {
 
+constexpr std::uint32_t kInf = 0xffffffffu;
+
 // BFS ball of the given radius around the seed vertices. Returns the list
-// of vertices in the ball; dist is sized n with kInvalidVertex as infinity.
+// of vertices in the ball; *dist is sized n with kInf outside the ball.
 std::vector<VertexId> VertexBall(const Graph& g,
                                  std::span<const VertexId> seeds, int radius,
-                                 std::vector<std::uint32_t>* dist_out) {
-  constexpr std::uint32_t kInf = 0xffffffffu;
-  std::vector<std::uint32_t> dist(g.NumVertices(), kInf);
+                                 std::vector<std::uint32_t>* dist) {
+  dist->assign(g.NumVertices(), kInf);
   std::vector<VertexId> ball;
   std::queue<VertexId> frontier;
   for (VertexId s : seeds) {
-    if (dist[s] != kInf) continue;
-    dist[s] = 0;
+    if ((*dist)[s] != kInf) continue;
+    (*dist)[s] = 0;
     frontier.push(s);
     ball.push_back(s);
   }
   while (!frontier.empty()) {
     const VertexId v = frontier.front();
     frontier.pop();
-    if (dist[v] == static_cast<std::uint32_t>(radius)) continue;
+    if ((*dist)[v] == static_cast<std::uint32_t>(radius)) continue;
     for (VertexId u : g.Neighbors(v)) {
-      if (dist[u] == kInf) {
-        dist[u] = dist[v] + 1;
+      if ((*dist)[u] == kInf) {
+        (*dist)[u] = (*dist)[v] + 1;
         frontier.push(u);
         ball.push_back(u);
       }
     }
   }
-  if (dist_out != nullptr) *dist_out = std::move(dist);
   return ball;
+}
+
+// The query region as a clique space over dense local ids: the region's
+// r-cliques are [0, R) and its co-member lists are one CSR. Co-members
+// outside the region carry frozen ids [R, R+B), whose tau the caller
+// appends to tau_0 after the R region values.
+struct RegionSpace {
+  std::size_t arity = 1;
+  std::vector<std::uint64_t> offsets{0};
+  std::vector<CliqueId> co_members;
+
+  std::size_t NumRCliques() const { return offsets.size() - 1; }
+
+  template <typename Fn>
+  void ForEachSClique(CliqueId r, Fn&& fn) const {
+    for (std::uint64_t i = offsets[r]; i < offsets[r + 1]; i += arity) {
+      fn(std::span<const CliqueId>(co_members.data() + i, arity));
+    }
+  }
+};
+
+// The generic estimator: remaps `region` (the space's ids of the iterated
+// r-cliques, each once) to local ids, builds the region's co-member CSR
+// with one ForEachSClique walk per r-clique, and runs AND over it from
+// tau_0 = S-degrees. `s_degree` gives a boundary id's S-degree.
+template <typename Space, typename SDegree>
+QueryEstimate EstimateInRegion(const Space& space,
+                               const std::vector<CliqueId>& region,
+                               std::span<const CliqueId> queries,
+                               const SDegree& s_degree,
+                               const QueryOptions& options, RunControl ctl) {
+  const std::size_t n = region.size();
+  std::unordered_map<CliqueId, CliqueId> local;
+  local.reserve(2 * n);
+  for (std::size_t i = 0; i < n; ++i) {
+    local.emplace(region[i], static_cast<CliqueId>(i));
+  }
+  RegionSpace arena;
+  arena.arity = static_cast<std::size_t>(CoMemberArity(space));
+  arena.offsets.reserve(n + 1);
+  std::vector<Degree> tau0(n, 0);
+  std::vector<CliqueId> boundary;
+  for (std::size_t i = 0; i < n; ++i) {
+    space.ForEachSClique(region[i], [&](std::span<const CliqueId> co) {
+      for (CliqueId c : co) {
+        const auto [it, fresh] = local.try_emplace(
+            c, static_cast<CliqueId>(n + boundary.size()));
+        if (fresh) boundary.push_back(c);
+        arena.co_members.push_back(it->second);
+      }
+      ++tau0[i];
+    });
+    arena.offsets.push_back(arena.co_members.size());
+  }
+  for (CliqueId b : boundary) tau0.push_back(s_degree(b));
+
+  AndOptions and_options;
+  and_options.local.max_iterations = options.max_iterations;
+  LocalResult run =
+      internal::AndSweeps(arena, and_options, std::move(tau0), ctl);
+  QueryEstimate result;
+  result.region_size = n;
+  if (!run.status.ok()) {
+    result.status = run.status;
+    return result;
+  }
+  result.iterations = run.iterations + (run.converged ? 1 : 0);
+  result.converged = run.converged;
+  result.estimates.reserve(queries.size());
+  for (CliqueId q : queries) result.estimates.push_back(run.tau[local.at(q)]);
+  return result;
 }
 
 }  // namespace
 
 QueryEstimate EstimateCoreNumbers(const Graph& g,
                                   std::span<const VertexId> queries,
-                                  const QueryOptions& options) {
-  QueryEstimate result;
+                                  const QueryOptions& options,
+                                  RunControl ctl) {
   std::vector<std::uint32_t> dist;
   const std::vector<VertexId> region =
       VertexBall(g, queries, options.radius, &dist);
-  result.region_size = region.size();
-
-  // Sparse tau: only region vertices iterate; any vertex read that is not
-  // in the map contributes its degree (tau_0), which is the correct frozen
-  // boundary value.
-  std::unordered_map<VertexId, Degree> tau;
-  tau.reserve(region.size() * 2);
-  for (VertexId v : region) tau[v] = g.GetDegree(v);
-  auto tau_of = [&](VertexId v) {
-    auto it = tau.find(v);
-    return it == tau.end() ? g.GetDegree(v) : it->second;
-  };
-
-  HIndexScratch scratch;
-  for (int iter = 0;
-       options.max_iterations == 0 || iter < options.max_iterations; ++iter) {
-    // Synchronous sweep over the region (Jacobi), small enough to copy.
-    std::unordered_map<VertexId, Degree> prev = tau;
-    auto prev_of = [&](VertexId v) {
-      auto it = prev.find(v);
-      return it == prev.end() ? g.GetDegree(v) : it->second;
-    };
-    std::size_t updates = 0;
-    for (VertexId v : region) {
-      auto& rhos = scratch.values();
-      rhos.clear();
-      for (VertexId u : g.Neighbors(v)) rhos.push_back(prev_of(u));
-      const Degree new_tau = std::min<Degree>(scratch.Compute(), prev_of(v));
-      if (new_tau != prev_of(v)) {
-        tau[v] = new_tau;
-        ++updates;
-      }
-    }
-    ++result.iterations;
-    if (updates == 0) {
-      result.converged = true;
-      break;
-    }
-  }
-  result.estimates.reserve(queries.size());
-  for (VertexId q : queries) result.estimates.push_back(tau_of(q));
-  return result;
+  return EstimateInRegion(
+      CoreSpace(g), region, queries,
+      [&](CliqueId v) { return static_cast<Degree>(g.GetDegree(v)); },
+      options, ctl);
 }
 
 QueryEstimate EstimateTrussNumbers(const Graph& g, const EdgeIndex& edges,
                                    std::span<const EdgeId> queries,
-                                   const QueryOptions& options) {
-  QueryEstimate result;
-  // Vertex ball around all query endpoints; the iterated edges are those
-  // with both endpoints inside the ball.
+                                   const QueryOptions& options,
+                                   RunControl ctl) {
   std::vector<VertexId> seeds;
   seeds.reserve(queries.size() * 2);
   for (EdgeId e : queries) {
@@ -109,81 +140,26 @@ QueryEstimate EstimateTrussNumbers(const Graph& g, const EdgeIndex& edges,
     seeds.push_back(v);
   }
   std::vector<std::uint32_t> dist;
-  const std::vector<VertexId> ball =
-      VertexBall(g, seeds, options.radius, &dist);
-  constexpr std::uint32_t kInf = 0xffffffffu;
-
-  // Region edges + lazily computed boundary triangle counts.
-  std::unordered_map<EdgeId, Degree> tau;
-  std::unordered_map<EdgeId, Degree> d3_cache;
-  auto d3_of = [&](EdgeId e) {
-    auto it = d3_cache.find(e);
-    if (it != d3_cache.end()) return it->second;
-    const auto [u, v] = edges.Endpoints(e);
-    const Degree c =
-        static_cast<Degree>(CountCommon(g.Neighbors(u), g.Neighbors(v)));
-    d3_cache.emplace(e, c);
-    return c;
-  };
-  std::vector<EdgeId> region;
-  for (VertexId u : ball) {
+  std::vector<CliqueId> region;
+  for (VertexId u : VertexBall(g, seeds, options.radius, &dist)) {
     for (VertexId v : g.Neighbors(u)) {
-      if (u < v && dist[v] != kInf) {
-        const EdgeId e = edges.EdgeIdOf(u, v);
-        region.push_back(e);
-        tau.emplace(e, d3_of(e));
-      }
+      if (u < v && dist[v] != kInf) region.push_back(edges.EdgeIdOf(u, v));
     }
   }
-  result.region_size = region.size();
-
-  auto tau_of = [&](EdgeId e) {
-    auto it = tau.find(e);
-    return it == tau.end() ? d3_of(e) : it->second;
-  };
-
-  HIndexScratch scratch;
-  for (int iter = 0;
-       options.max_iterations == 0 || iter < options.max_iterations; ++iter) {
-    std::unordered_map<EdgeId, Degree> prev = tau;
-    auto prev_of = [&](EdgeId e) {
-      auto it = prev.find(e);
-      return it == prev.end() ? d3_of(e) : it->second;
-    };
-    std::size_t updates = 0;
-    for (EdgeId e : region) {
-      const auto [u, v] = edges.Endpoints(e);
-      auto& rhos = scratch.values();
-      rhos.clear();
-      ForEachCommon(g.Neighbors(u), g.Neighbors(v), [&](VertexId w) {
-        const Degree a = prev_of(edges.EdgeIdOf(u, w));
-        const Degree b = prev_of(edges.EdgeIdOf(v, w));
-        rhos.push_back(std::min(a, b));
-      });
-      const Degree new_tau = std::min<Degree>(scratch.Compute(), prev_of(e));
-      if (new_tau != prev_of(e)) {
-        tau[e] = new_tau;
-        ++updates;
-      }
-    }
-    ++result.iterations;
-    if (updates == 0) {
-      result.converged = true;
-      break;
-    }
-  }
-  result.estimates.reserve(queries.size());
-  for (EdgeId q : queries) result.estimates.push_back(tau_of(q));
-  return result;
+  return EstimateInRegion(
+      TrussSpace(g, edges), region, queries,
+      [&](CliqueId e) {
+        const auto [u, v] = edges.Endpoints(e);
+        return static_cast<Degree>(CountCommon(g.Neighbors(u), g.Neighbors(v)));
+      },
+      options, ctl);
 }
 
 QueryEstimate EstimateNucleus34Numbers(const Graph& g,
                                        const TriangleIndex& tris,
                                        std::span<const TriangleId> queries,
-                                       const QueryOptions& options) {
-  QueryEstimate result;
-  // Vertex ball around all query-triangle vertices; the iterated triangles
-  // are those with all three vertices inside the ball.
+                                       const QueryOptions& options,
+                                       RunControl ctl) {
   std::vector<VertexId> seeds;
   seeds.reserve(queries.size() * 3);
   for (TriangleId t : queries) {
@@ -191,85 +167,28 @@ QueryEstimate EstimateNucleus34Numbers(const Graph& g,
     seeds.insert(seeds.end(), tri.begin(), tri.end());
   }
   std::vector<std::uint32_t> dist;
-  const std::vector<VertexId> ball =
-      VertexBall(g, seeds, options.radius, &dist);
-  constexpr std::uint32_t kInf = 0xffffffffu;
   auto in_ball = [&](VertexId v) { return dist[v] != kInf; };
-
-  // Region triangles, enumerated locally (u < v < w, all inside the ball)
-  // so the work stays proportional to the ball, not the graph. Boundary
-  // 4-clique degrees d_4 are computed lazily on first read.
-  std::unordered_map<TriangleId, Degree> tau;
-  std::unordered_map<TriangleId, Degree> d4_cache;
-  auto d4_of = [&](TriangleId t) {
-    auto it = d4_cache.find(t);
-    if (it != d4_cache.end()) return it->second;
-    const auto& tri = tris.Vertices(t);
-    Degree c = 0;
-    ForEachCommon3(g.Neighbors(tri[0]), g.Neighbors(tri[1]),
-                   g.Neighbors(tri[2]), [&](VertexId) { ++c; });
-    d4_cache.emplace(t, c);
-    return c;
-  };
-  std::vector<TriangleId> region;
-  for (VertexId u : ball) {
+  // Triangles u < v < w with all three vertices in the ball, enumerated
+  // from the ball so the work stays proportional to it.
+  std::vector<CliqueId> region;
+  for (VertexId u : VertexBall(g, seeds, options.radius, &dist)) {
     for (VertexId v : g.Neighbors(u)) {
       if (v <= u || !in_ball(v)) continue;
       ForEachCommon(g.Neighbors(u), g.Neighbors(v), [&](VertexId w) {
-        if (w <= v || !in_ball(w)) return;
-        const TriangleId t = tris.TriangleIdOf(u, v, w);
-        region.push_back(t);
-        tau.emplace(t, d4_of(t));
+        if (w > v && in_ball(w)) region.push_back(tris.TriangleIdOf(u, v, w));
       });
     }
   }
-  result.region_size = region.size();
-
-  auto tau_of = [&](TriangleId t) {
-    auto it = tau.find(t);
-    return it == tau.end() ? d4_of(t) : it->second;
-  };
-
-  HIndexScratch scratch;
-  for (int iter = 0;
-       options.max_iterations == 0 || iter < options.max_iterations; ++iter) {
-    std::unordered_map<TriangleId, Degree> prev = tau;
-    auto prev_of = [&](TriangleId t) {
-      auto it = prev.find(t);
-      return it == prev.end() ? d4_of(t) : it->second;
-    };
-    std::size_t updates = 0;
-    for (TriangleId t : region) {
-      const auto& tri = tris.Vertices(t);
-      auto& rhos = scratch.values();
-      rhos.clear();
-      ForEachCommon3(g.Neighbors(tri[0]), g.Neighbors(tri[1]),
-                     g.Neighbors(tri[2]), [&](VertexId x) {
-                       // rho of the 4-clique {tri, x}: min over the three
-                       // co-member triangles through x.
-                       const Degree a =
-                           prev_of(tris.TriangleIdOf(tri[0], tri[1], x));
-                       const Degree b =
-                           prev_of(tris.TriangleIdOf(tri[0], tri[2], x));
-                       const Degree c =
-                           prev_of(tris.TriangleIdOf(tri[1], tri[2], x));
-                       rhos.push_back(std::min({a, b, c}));
-                     });
-      const Degree new_tau = std::min<Degree>(scratch.Compute(), prev_of(t));
-      if (new_tau != prev_of(t)) {
-        tau[t] = new_tau;
-        ++updates;
-      }
-    }
-    ++result.iterations;
-    if (updates == 0) {
-      result.converged = true;
-      break;
-    }
-  }
-  result.estimates.reserve(queries.size());
-  for (TriangleId q : queries) result.estimates.push_back(tau_of(q));
-  return result;
+  return EstimateInRegion(
+      Nucleus34Space(g, tris), region, queries,
+      [&](CliqueId t) {
+        const auto& tri = tris.Vertices(t);
+        Degree c = 0;
+        ForEachCommon3(g.Neighbors(tri[0]), g.Neighbors(tri[1]),
+                       g.Neighbors(tri[2]), [&](VertexId) { ++c; });
+        return c;
+      },
+      options, ctl);
 }
 
 }  // namespace nucleus

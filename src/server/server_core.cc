@@ -860,10 +860,8 @@ ServerResponse ServerCore::HandleQuery(const JsonValue& body, RunControl ctl) {
   options.max_iterations =
       static_cast<int>(std::max<std::int64_t>(0, *max_iterations));
   options.threads = static_cast<int>(std::max<std::int64_t>(1, *threads));
-  (void)ctl;  // queries touch a bounded region; not worth a stop channel
-
   auto estimate = target->entry->session.EstimateQueries(
-      target->kind, queries, options);
+      target->kind, queries, options, ctl);
   if (!estimate.ok()) return ErrorResponse(estimate.status());
   JsonWriter w;
   w.BeginObject()

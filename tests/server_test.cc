@@ -28,6 +28,7 @@
 
 #include "src/core/session.h"
 #include "src/graph/generators.h"
+#include "src/server/http.h"
 #include "src/server/json.h"
 #include "src/server/registry.h"
 #include "src/server/server_core.h"
@@ -324,6 +325,45 @@ TEST(ServerCore, DeadlineExpiredRequestLeavesSessionReusable) {
     ASSERT_EQ(static_cast<Degree>(kappa_json[i].AsInt()),
               expected->kappa[i])
         << "kappa diverges at id " << i;
+  }
+}
+
+// A query polls the request's deadline in its sweeps: a (3,4) radius-2
+// query over most of the graph, run inline as the reactor runs reads,
+// comes back 504 instead of holding the loop thread, and the session then
+// answers the same query correctly.
+TEST(ServerCore, QueryHonoursDeadlineAndSessionStillAnswers) {
+  ServerCore server(Config(1));
+  ASSERT_TRUE(server.registry().Add("g", SlowGraph()).ok());
+  // Warm the triangle index so the deadline has only the query to stop.
+  ASSERT_TRUE(server
+                  .HandleDirect({"query",
+                                 R"({"graph":"g","kind":"nucleus34",)"
+                                 R"("ids":[0],"radius":0})"})
+                  .status.ok());
+  const std::string query =
+      R"({"graph":"g","kind":"nucleus34","ids":[0,7],"radius":2)";
+  const ServerResponse expired =
+      server.HandleDirect({"query", query + R"(,"deadline_ms":1})"});
+  EXPECT_EQ(expired.status.code(), StatusCode::kDeadlineExceeded)
+      << expired.status.ToString();
+  EXPECT_EQ(HttpStatusFor(expired.status.code()), 504);
+
+  const ServerResponse retry = server.HandleDirect({"query", query + "}"});
+  ASSERT_TRUE(retry.status.ok()) << retry.status.ToString();
+  auto body = JsonValue::Parse(retry.body);
+  ASSERT_TRUE(body.ok());
+  const auto& served = body->Find("estimates")->AsArray();
+  NucleusSession oracle(SlowGraph());
+  QueryOptions opt;
+  opt.radius = 2;
+  const std::vector<CliqueId> ids = {0, 7};
+  const auto expected =
+      oracle.EstimateQueries(DecompositionKind::kNucleus34, ids, opt);
+  ASSERT_TRUE(expected.ok());
+  ASSERT_EQ(served.size(), expected->estimates.size());
+  for (std::size_t i = 0; i < served.size(); ++i) {
+    EXPECT_EQ(static_cast<Degree>(served[i].AsInt()), expected->estimates[i]);
   }
 }
 

@@ -250,6 +250,96 @@ TEST(Session, ConcurrentQueriesAcrossAllKinds) {
   EXPECT_EQ(stats.triangle_index_builds, 1);
 }
 
+// Several threads query all three kinds on one session at once, at
+// different radii and caps. Queries run under the session's shared lock,
+// so any per-session scratch they wrote would race (the TSAN job runs this
+// suite) or cross-contaminate estimates; each must match the library
+// estimator run alone.
+TEST(Session, ConcurrentQueriesOfAllKindsMatchLibrary) {
+  const Graph g = GeneratePlantedPartition(3, 20, 0.6, 0.03, 19);
+  NucleusSession session(g);
+  const EdgeIndex& edges = session.Edges();
+  const TriangleIndex& tris = session.Triangles();
+  const DecompositionKind kinds[] = {DecompositionKind::kCore,
+                                     DecompositionKind::kTruss,
+                                     DecompositionKind::kNucleus34};
+  const std::size_t sizes[] = {g.NumVertices(), edges.NumEdges(),
+                               tris.NumTriangles()};
+  constexpr int kThreads = 6;
+  struct Job {
+    DecompositionKind kind;
+    std::vector<CliqueId> ids;
+    QueryOptions options;
+    std::vector<Degree> expected;
+  };
+  std::vector<Job> jobs;
+  for (int t = 0; t < kThreads; ++t) {
+    for (int k = 0; k < 3; ++k) {
+      Job job;
+      job.kind = kinds[k];
+      for (int j = 0; j < 3; ++j) {
+        job.ids.push_back(
+            static_cast<CliqueId>((t * 37 + j * 11 + k) % sizes[k]));
+      }
+      job.options.radius = 1 + (t % 2);
+      job.options.max_iterations = t % 3;
+      switch (k) {
+        case 0:
+          job.expected = EstimateCoreNumbers(g, job.ids, job.options).estimates;
+          break;
+        case 1:
+          job.expected =
+              EstimateTrussNumbers(g, edges, job.ids, job.options).estimates;
+          break;
+        default:
+          job.expected =
+              EstimateNucleus34Numbers(g, tris, job.ids, job.options)
+                  .estimates;
+      }
+      jobs.push_back(std::move(job));
+    }
+  }
+  std::atomic<int> failures{0};
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] {
+      for (int round = 0; round < 3; ++round) {
+        for (int k = 0; k < 3; ++k) {
+          const Job& job = jobs[3 * t + (t + k + round) % 3];
+          const auto est =
+              session.EstimateQueries(job.kind, job.ids, job.options);
+          if (!est.ok() || est->estimates != job.expected) ++failures;
+        }
+      }
+    });
+  }
+  for (auto& w : workers) w.join();
+  EXPECT_EQ(failures.load(), 0);
+}
+
+TEST(Session, StoppedQueryReturnsStopStatusAndSessionStillAnswers) {
+  const Graph g = GeneratePlantedPartition(3, 20, 0.6, 0.03, 23);
+  NucleusSession session(g);
+  // A warm index leaves the sweeps as the only work the token can stop.
+  ASSERT_GT(session.Triangles().NumTriangles(), 9u);
+  const std::vector<CliqueId> ids = {0, 4, 9};
+  QueryOptions opt;
+  opt.radius = 2;
+  CancelToken token;
+  token.RequestCancel();
+  const auto stopped =
+      session.EstimateQueries(DecompositionKind::kNucleus34, ids, opt,
+                              RunControl(&token, Deadline::Infinite()));
+  ASSERT_FALSE(stopped.ok());
+  EXPECT_EQ(stopped.status().code(), StatusCode::kCancelled);
+  const auto est =
+      session.EstimateQueries(DecompositionKind::kNucleus34, ids, opt);
+  ASSERT_TRUE(est.ok());
+  EXPECT_EQ(est->estimates,
+            EstimateNucleus34Numbers(g, session.Triangles(), ids, opt)
+                .estimates);
+}
+
 TEST(Session, ConcurrentDecomposeAgrees) {
   const Graph g = GenerateErdosRenyi(60, 240, 17);
   NucleusSession session(g);
