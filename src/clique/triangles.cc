@@ -1,7 +1,6 @@
 #include "src/clique/triangles.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 
 #include "src/clique/intersect.h"
@@ -220,149 +219,6 @@ std::vector<TriangleId> TriangleIndex::ApplyDelta(
     ids.push_back(id);
   }
   return ids;
-}
-
-void TriangleIndex::ForEachTriangleOfEdge(
-    const Graph& g, VertexId u, VertexId v,
-    const std::function<void(TriangleId, VertexId)>& fn) const {
-  ForEachCommon(g.Neighbors(u), g.Neighbors(v), [&](VertexId w) {
-    const TriangleId t = TriangleIdOf(u, v, w);
-    fn(t, w);
-  });
-}
-
-EdgeTriangleCsr::EdgeTriangleCsr(const EdgeIndex& edges,
-                                 const TriangleIndex& tris, int threads,
-                                 RunControl ctl) {
-  const std::size_t m = edges.NumEdges();
-  const std::size_t nt = tris.NumTriangles();
-  num_edges_ = m;
-  const bool can_stop = ctl.CanStop();
-  AbortFlag abort;
-  // Pass 1: per-edge triangle counts (relaxed atomic increments; each
-  // triangle touches its three edges). Tombstoned triangles of a patched
-  // index contribute nothing.
-  std::vector<Degree> counts(m, 0);
-  ParallelFor(nt, threads, [&](std::size_t ti) {
-    if (can_stop && PollStopAmortized(ctl, abort)) return;
-    if (!tris.IsLive(static_cast<TriangleId>(ti))) return;
-    const auto& v = tris.Vertices(static_cast<TriangleId>(ti));
-    const EdgeId ids[3] = {edges.EdgeIdOf(v[0], v[1]),
-                           edges.EdgeIdOf(v[0], v[2]),
-                           edges.EdgeIdOf(v[1], v[2])};
-    for (EdgeId e : ids) {
-      std::atomic_ref<Degree>(counts[e]).fetch_add(
-          1, std::memory_order_relaxed);
-    }
-  });
-  if (can_stop && ctl.ShouldStop()) {
-    aborted_ = true;
-    return;
-  }
-  offsets_.assign(m + 1, 0);
-  for (std::size_t e = 0; e < m; ++e) {
-    offsets_[e + 1] = offsets_[e] + counts[e];
-  }
-  entries_.resize(offsets_[m]);
-  // Pass 2: scatter through per-edge atomic cursors.
-  std::vector<std::uint64_t> cursor(offsets_.begin(), offsets_.end() - 1);
-  ParallelFor(nt, threads, [&](std::size_t ti) {
-    if (can_stop && PollStopAmortized(ctl, abort)) return;
-    if (!tris.IsLive(static_cast<TriangleId>(ti))) return;
-    const auto& v = tris.Vertices(static_cast<TriangleId>(ti));
-    const EdgeId ids[3] = {edges.EdgeIdOf(v[0], v[1]),
-                           edges.EdgeIdOf(v[0], v[2]),
-                           edges.EdgeIdOf(v[1], v[2])};
-    const VertexId opposite[3] = {v[2], v[1], v[0]};
-    for (int i = 0; i < 3; ++i) {
-      const std::uint64_t pos =
-          std::atomic_ref<std::uint64_t>(cursor[ids[i]])
-              .fetch_add(1, std::memory_order_relaxed);
-      entries_[pos] = {static_cast<TriangleId>(ti), opposite[i]};
-    }
-  });
-  if (can_stop && ctl.ShouldStop()) {
-    offsets_.clear();
-    entries_.clear();
-    aborted_ = true;
-    return;
-  }
-  // Deterministic ascending-id order within each edge regardless of thread
-  // interleaving.
-  ParallelFor(m, threads, [&](std::size_t e) {
-    std::sort(entries_.begin() + static_cast<std::ptrdiff_t>(offsets_[e]),
-              entries_.begin() + static_cast<std::ptrdiff_t>(offsets_[e + 1]));
-  });
-}
-
-void EdgeTriangleCsr::EnsureCounts() {
-  if (!counts_.empty()) return;
-  counts_.resize(num_edges_);
-  for (std::size_t e = 0; e + 1 < offsets_.size(); ++e) {
-    counts_[e] = static_cast<Degree>(offsets_[e + 1] - offsets_[e]);
-  }
-}
-
-void EdgeTriangleCsr::ApplyDelta(std::span<const TrianglePatch> dead,
-                                 std::span<const TrianglePatch> born,
-                                 std::span<const EdgeId> dead_edges,
-                                 std::size_t num_edge_ids) {
-  num_edges_ = std::max(num_edges_, num_edge_ids);
-  EnsureCounts();
-  counts_.resize(num_edges_, 0);
-  const std::size_t base_m = offsets_.size() - 1;
-  // Removes the (t, *) entry from edge e's list: sentineled in place in
-  // the pristine region, swap-erased from the overlay.
-  const auto remove_entry = [&](EdgeId e, TriangleId t) {
-    if (e < base_m) {
-      for (std::uint64_t p = offsets_[e]; p < offsets_[e + 1]; ++p) {
-        if (entries_[p].first == t) {
-          entries_[p] = {kInvalidTriangle, 0};
-          --counts_[e];
-          return;
-        }
-      }
-    }
-    const auto it = overlay_.find(e);
-    if (it != overlay_.end()) {
-      auto& list = it->second;
-      for (std::size_t i = 0; i < list.size(); ++i) {
-        if (list[i].first == t) {
-          list[i] = list.back();
-          list.pop_back();
-          --counts_[e];
-          return;
-        }
-      }
-    }
-    assert(false && "dead triangle entry not found in edge list");
-  };
-  for (const auto& tp : dead) {
-    for (int i = 0; i < 3; ++i) {
-      // Member ids are resolved by the caller BEFORE tombstoning, so
-      // edges removed in the same commit still carry valid ids here
-      // (their whole lists are additionally cleared via dead_edges
-      // below); the guard only skips ids a caller could not resolve.
-      if (tp.edges[i] == kInvalidEdge) continue;
-      remove_entry(tp.edges[i], tp.id);
-    }
-  }
-  for (EdgeId e : dead_edges) {
-    if (e < base_m) {
-      for (std::uint64_t p = offsets_[e]; p < offsets_[e + 1]; ++p) {
-        entries_[p] = {kInvalidTriangle, 0};
-      }
-    }
-    overlay_.erase(e);
-    counts_[e] = 0;
-  }
-  for (const auto& tp : born) {
-    for (int i = 0; i < 3; ++i) {
-      assert(tp.edges[i] != kInvalidEdge);
-      overlay_[tp.edges[i]].emplace_back(tp.id, tp.opposite[i]);
-      ++counts_[tp.edges[i]];
-    }
-  }
 }
 
 }  // namespace nucleus

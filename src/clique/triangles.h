@@ -2,11 +2,11 @@
 // that gives triangles dense ids (they are the r-cliques of the (3,4)
 // decomposition).
 //
-// TriangleIndex and EdgeTriangleCsr are *patchable* the same way EdgeIndex
-// is: ApplyDelta applies a committed mutation's dead/born triangle sets in
-// place (tombstones + appended ids + per-edge overlay lists) so the session
-// never pays a full re-enumeration for a small commit. NumTriangles() is
-// the id-space size; NumLiveTriangles() counts triangles actually present.
+// TriangleIndex is *patchable* the same way EdgeIndex is: ApplyDelta
+// applies a committed mutation's dead/born triangle sets in place
+// (tombstones + appended ids + an overlay lookup) so the session never pays
+// a full re-enumeration for a small commit. NumTriangles() is the id-space
+// size; NumLiveTriangles() counts triangles actually present.
 #ifndef NUCLEUS_CLIQUE_TRIANGLES_H_
 #define NUCLEUS_CLIQUE_TRIANGLES_H_
 
@@ -15,7 +15,6 @@
 #include <functional>
 #include <span>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "src/clique/edge_index.h"
@@ -103,15 +102,6 @@ class TriangleIndex {
   /// Id of live triangle {u, v, w} (any order), or kInvalidTriangle.
   TriangleId TriangleIdOf(VertexId u, VertexId v, VertexId w) const;
 
-  /// All triangle ids containing edge (u, v): provided via callback to
-  /// avoid allocation. Triangles containing an edge share its two vertices,
-  /// so they are the common neighbors of u and v. Each hit costs one
-  /// intersection step plus an id lookup; build an EdgeTriangleCsr when
-  /// querying many edges repeatedly.
-  void ForEachTriangleOfEdge(
-      const Graph& g, VertexId u, VertexId v,
-      const std::function<void(TriangleId, VertexId)>& fn) const;
-
   /// Applies a committed mutation's triangle delta in place: tombstones
   /// every `dead` triple and assigns ids to every `born` triple (reviving
   /// a tombstone of the same triple, else appending a fresh id). Triples
@@ -144,84 +134,6 @@ class TriangleIndex {
   std::unordered_map<std::array<VertexId, 3>, TriangleId, TripleHash>
       overlay_;
   std::size_t num_live_ = 0;
-};
-
-/// Per-edge triangle adjacency materialized as a CSR over edge ids: for
-/// each edge, the triangles containing it together with the opposite
-/// vertex. Built in two parallel passes over the TriangleIndex; lookups are
-/// then a flat scan with no re-intersection and no binary searches.
-/// Patchable: ApplyDelta sentinels dead entries in place and appends born
-/// entries to per-edge overlay lists.
-class EdgeTriangleCsr {
- public:
-  /// A stoppable `ctl` makes the build abandonable: aborted() then reports
-  /// true and the CSR must be discarded.
-  EdgeTriangleCsr(const EdgeIndex& edges, const TriangleIndex& tris,
-                  int threads = 1, RunControl ctl = {});
-
-  /// True when a stoppable build was stopped mid-pass.
-  bool aborted() const { return aborted_; }
-
-  /// Size of the edge-id space covered (grows when a patch brings new
-  /// edge ids).
-  std::size_t NumEdges() const { return num_edges_; }
-
-  /// Number of live triangles containing edge e (== d_3[e]; 0 for a
-  /// tombstoned edge).
-  Degree TriangleCount(EdgeId e) const {
-    if (!counts_.empty()) return e < counts_.size() ? counts_[e] : 0;
-    return static_cast<Degree>(offsets_[e + 1] - offsets_[e]);
-  }
-
-  /// Calls fn(t, w) for every live triangle t containing e, with w the
-  /// vertex of t opposite e. Pristine entries come in ascending id order;
-  /// patched-in entries follow in patch order.
-  template <typename Fn>
-  void ForEachTriangleOfEdge(EdgeId e, Fn&& fn) const {
-    if (static_cast<std::size_t>(e) + 1 < offsets_.size()) {
-      for (std::uint64_t p = offsets_[e]; p < offsets_[e + 1]; ++p) {
-        if (entries_[p].first == kInvalidTriangle) continue;  // dead
-        fn(entries_[p].first, entries_[p].second);
-      }
-    }
-    if (!overlay_.empty()) {
-      const auto it = overlay_.find(e);
-      if (it != overlay_.end()) {
-        for (const auto& [t, w] : it->second) fn(t, w);
-      }
-    }
-  }
-
-  /// One patched triangle: its id, member edge ids, and per-member
-  /// opposite vertex (entry i is the edge not containing vertices[i]'s
-  /// opposite — i.e. opposite[i] completes edges[i] into the triangle).
-  struct TrianglePatch {
-    TriangleId id;
-    std::array<EdgeId, 3> edges;
-    std::array<VertexId, 3> opposite;
-  };
-
-  /// Applies a committed mutation in place: removes `dead` triangles'
-  /// entries (sentineled in the pristine region, erased from overlays),
-  /// appends `born` triangles' entries, clears the lists of `dead_edges`
-  /// wholesale, and grows the edge-id space to `num_edge_ids`.
-  void ApplyDelta(std::span<const TrianglePatch> dead,
-                  std::span<const TrianglePatch> born,
-                  std::span<const EdgeId> dead_edges,
-                  std::size_t num_edge_ids);
-
- private:
-  void EnsureCounts();
-
-  std::vector<std::uint64_t> offsets_;
-  std::vector<std::pair<TriangleId, VertexId>> entries_;
-  std::size_t num_edges_ = 0;
-  bool aborted_ = false;
-  // Patch state; empty until the first ApplyDelta. counts_ materializes
-  // live per-edge counts once offsets_ diffs stop being the truth.
-  std::vector<Degree> counts_;
-  std::unordered_map<EdgeId, std::vector<std::pair<TriangleId, VertexId>>>
-      overlay_;
 };
 
 }  // namespace nucleus

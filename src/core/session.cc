@@ -383,24 +383,6 @@ StatusOr<const TriangleIndex*> NucleusSession::IndexShared<TriangleIndex>(
   });
 }
 
-template <>
-StatusOr<const EdgeTriangleCsr*>
-NucleusSession::IndexShared<EdgeTriangleCsr>(int threads, double*,
-                                             RunControl ctl) {
-  return edge_triangle_csr_.GetOrTryBuild(
-      [&]() -> StatusOr<EdgeTriangleCsr> {
-        NUCLEUS_FAULT_POINT("edge_triangle_csr_build");
-        auto edges = IndexShared<EdgeIndex>(threads, nullptr, ctl);
-        if (!edges.ok()) return edges.status();
-        auto tris = IndexShared<TriangleIndex>(threads, nullptr, ctl);
-        if (!tris.ok()) return tris.status();
-        EdgeTriangleCsr csr(**edges, **tris, std::max(threads, 1), ctl);
-        if (csr.aborted()) return ctl.StopStatus();
-        BumpStat(&SessionStats::edge_triangle_csr_builds);
-        return csr;
-      });
-}
-
 const EdgeIndex& NucleusSession::Edges() {
   std::shared_lock<std::shared_mutex> lk(session_mu_);
   return ValueOrDie(IndexShared<EdgeIndex>(1, nullptr, RunControl()));
@@ -409,12 +391,6 @@ const EdgeIndex& NucleusSession::Edges() {
 const TriangleIndex& NucleusSession::Triangles(int threads) {
   std::shared_lock<std::shared_mutex> lk(session_mu_);
   return ValueOrDie(IndexShared<TriangleIndex>(threads, nullptr, RunControl()));
-}
-
-const EdgeTriangleCsr& NucleusSession::EdgeTriangles(int threads) {
-  std::shared_lock<std::shared_mutex> lk(session_mu_);
-  return ValueOrDie(
-      IndexShared<EdgeTriangleCsr>(threads, nullptr, RunControl()));
 }
 
 std::size_t NucleusSession::NumRCliques(DecompositionKind kind) {
@@ -925,7 +901,6 @@ Status NucleusSession::PropagateDelta(const EdgeDelta& delta,
   };
   EdgeIndex* eidx = edge_index_.Mutable();
   TriangleIndex* tidx = triangle_index_.Mutable();
-  EdgeTriangleCsr* etc = edge_triangle_csr_.Mutable();
   // The kind's (patched) id space, or null when the session holds none.
   const auto index_of = [&](auto k) -> const typename decltype(k)::Index* {
     using Index = typename decltype(k)::Index;
@@ -943,17 +918,13 @@ Status NucleusSession::PropagateDelta(const EdgeDelta& delta,
   const bool patch_n34_arena = n34.arena.has_value();
   assert(!patch_truss_arena || eidx != nullptr);
   assert(!patch_n34_arena || tidx != nullptr);
-  assert(etc == nullptr || (eidx != nullptr && tidx != nullptr));
   assert(maintainer_of(TrussKind{}) == nullptr || eidx != nullptr);
   assert(maintainer_of(Nucleus34Kind{}) == nullptr || tidx != nullptr);
   const bool need_tri_edges =
-      eidx != nullptr && (etc != nullptr || patch_truss_arena ||
-                          !truss.fly_degrees.empty());
+      eidx != nullptr && (patch_truss_arena || !truss.fly_degrees.empty());
   const bool need_tri_delta = tidx != nullptr || need_tri_edges;
   const bool need_4c_delta =
       tidx != nullptr && (patch_n34_arena || !n34.fly_degrees.empty());
-  const bool need_tri_ids =
-      tidx != nullptr && (etc != nullptr || need_4c_delta);
 
   // Stage 1 (fallible): enumerate the s-cliques the delta destroys/creates
   // (dead sets against the OLD graph, born sets against the new one) and
@@ -1001,13 +972,11 @@ Status NucleusSession::PropagateDelta(const EdgeDelta& delta,
       truss_delta.dead.push_back(tri_edge_ids(*eidx, t));
     }
   }
-  if (need_tri_ids) {
+  if (need_4c_delta) {
     n34_delta.dead_ids.reserve(tdelta.dead.size());
     for (const auto& t : tdelta.dead) {
       n34_delta.dead_ids.push_back(tidx->TriangleIdOf(t[0], t[1], t[2]));
     }
-  }
-  if (need_4c_delta) {
     n34_delta.dead.reserve(fdelta.dead.size());
     for (const auto& q : fdelta.dead) {
       n34_delta.dead.push_back(quad_tri_ids(*tidx, q));
@@ -1026,7 +995,7 @@ Status NucleusSession::PropagateDelta(const EdgeDelta& delta,
   // with) for in-place repair. Repair needs this commit's exact NEW kappa
   // too, so a kind qualifies only when its maintainer ran this batch (the
   // core maintainer always does) over a patched id space; unqualified
-  // hierarchies die with the result-cell reset after stage 6.5. (Runs after
+  // hierarchies die with the result-cell reset after stage 5.5. (Runs after
   // the fallible stage 1: the moves out of the result cells are
   // themselves cache mutations.)
   std::unique_ptr<NucleusHierarchy> old_hierarchy[3];
@@ -1072,30 +1041,7 @@ Status NucleusSession::PropagateDelta(const EdgeDelta& delta,
   for (const auto& [u, v] : delta.removed) core_delta.dead.push_back({u, v});
   for (const auto& [u, v] : delta.inserted) core_delta.born.push_back({u, v});
 
-  // Stage 4: patch the per-edge triangle CSR.
-  if (etc != nullptr) {
-    const auto to_patches =
-        [&](const std::vector<std::array<VertexId, 3>>& triples,
-            const std::vector<TriangleId>& ids,
-            const std::vector<std::array<CliqueId, 3>>& edges) {
-          std::vector<EdgeTriangleCsr::TrianglePatch> patches;
-          patches.reserve(triples.size());
-          for (std::size_t i = 0; i < triples.size(); ++i) {
-            const auto& t = triples[i];
-            // Edge j's opposite vertex completes it into the triangle:
-            // (t0,t1)->t2, (t0,t2)->t1, (t1,t2)->t0.
-            patches.push_back(EdgeTriangleCsr::TrianglePatch{
-                ids[i], edges[i], {t[2], t[1], t[0]}});
-          }
-          return patches;
-        };
-    etc->ApplyDelta(
-        to_patches(tdelta.dead, n34_delta.dead_ids, truss_delta.dead),
-        to_patches(tdelta.born, n34_delta.born_ids, truss_delta.born),
-        truss_delta.dead_ids, eidx->NumEdges());
-  }
-
-  // Stage 5: patch or drop each kind's arenas. Space objects are re-seated
+  // Stage 4: patch or drop each kind's arenas. Space objects are re-seated
   // in place (assignment keeps their address, which the arena pins).
   // Compressed arenas are IMMUTABLE (a varint byte stream has no slack for
   // sentinels), so they are dropped here and rebuilt lazily by the next
@@ -1136,7 +1082,7 @@ Status NucleusSession::PropagateDelta(const EdgeDelta& delta,
     }
   });
 
-  // Stage 6: the new exact kappa of every kind whose maintainer ran —
+  // Stage 5: the new exact kappa of every kind whose maintainer ran —
   // (1,2) always (the core maintainer's locally-repaired numbers ARE the
   // exact kappa of the mutated graph), (2,3)/(3,4) when the batch carried
   // those maintainers. Theirs are indexed by the ids patched in stage 3,
@@ -1164,10 +1110,10 @@ Status NucleusSession::PropagateDelta(const EdgeDelta& delta,
     }
   });
 
-  // Stage 6.5: localized hierarchy repair. Everything above the touched
+  // Stage 5.5: localized hierarchy repair. Everything above the touched
   // level is spliced from the old forest; everything at or below is
   // re-swept from the new kappa. The repair re-sweeps per member, so an
-  // uncompressed arena (already patched in stage 5) serves it by
+  // uncompressed arena (already patched in stage 4) serves it by
   // contiguous scans instead of per-member intersections and id lookups;
   // the fly space otherwise.
   std::unique_ptr<NucleusHierarchy> repaired[3];
@@ -1223,7 +1169,7 @@ Status NucleusSession::PropagateDelta(const EdgeDelta& delta,
     }
   });
 
-  // Stage 7: compaction. Patching keeps commits O(delta) but leaves
+  // Stage 6: compaction. Patching keeps commits O(delta) but leaves
   // tombstones every sweep still iterates over; once a layer's dead
   // fraction crosses the threshold, re-densify it. The edge layer rebuild
   // is a cheap linear scan done eagerly; the triangle layer drops lazily —
@@ -1253,7 +1199,6 @@ Status NucleusSession::PropagateDelta(const EdgeDelta& delta,
     compact(TrussKind{}, *eidx);
     edge_index_.Install(EdgeIndex(*graph_));
     BumpStat(&SessionStats::edge_index_builds);
-    edge_triangle_csr_.Reset();
   }
   if (tidx != nullptr &&
       tidx->NumTriangles() - tidx->NumLiveTriangles() >=
@@ -1261,7 +1206,6 @@ Status NucleusSession::PropagateDelta(const EdgeDelta& delta,
       tidx->DeadFraction() > kDeadFractionForCompaction) {
     compact(Nucleus34Kind{}, *tidx);
     triangle_index_.Reset();
-    edge_triangle_csr_.Reset();
   }
   return Status::Ok();
 }
@@ -1269,7 +1213,6 @@ Status NucleusSession::PropagateDelta(const EdgeDelta& delta,
 void NucleusSession::ResetDerivedState() {
   ++reset_epoch_;
   ForEachKind([&](auto k) { State(k).Reset(); });
-  edge_triangle_csr_.Reset();
   edge_index_.Reset();
   triangle_index_.Reset();
 }
@@ -1311,14 +1254,6 @@ SessionStateStats NucleusSession::Stats() const {
     s.index_bytes +=
         s.triangle_ids * (3 * sizeof(VertexId) + sizeof(TriangleId) + 8) +
         (s.num_vertices + 1) * sizeof(std::size_t);
-  }
-  if (const EdgeTriangleCsr* etc = edge_triangle_csr_.TryGet();
-      etc != nullptr) {
-    // Per-edge offsets + one (triangle, opposite-vertex) entry per
-    // triangle-edge incidence (3 per triangle).
-    s.index_bytes +=
-        (s.edge_ids + 1) * sizeof(std::uint64_t) +
-        3 * s.triangle_ids * sizeof(std::pair<TriangleId, VertexId>);
   }
   ForEachKind([&](auto k) {
     const auto& st = State(k);

@@ -1,10 +1,10 @@
 // Session-centric public API. A NucleusSession is constructed once from a
 // Graph and owns every piece of derived state — EdgeIndex, TriangleIndex,
-// EdgeTriangleCsr, the per-space CSR co-member arenas, exact kappa values,
-// truncated-run tau values, and nucleus hierarchies — built lazily on
-// first use, cached, and shared across every subsequent call. Callers that
-// issue repeated decompositions, queries, or updates against the same
-// graph hold one session so the indices and arenas are paid for once.
+// the per-space CSR co-member arenas, exact kappa values, truncated-run tau
+// values, and nucleus hierarchies — built lazily on first use, cached, and
+// shared across every subsequent call. Callers that issue repeated
+// decompositions, queries, or updates against the same graph hold one
+// session so the indices and arenas are paid for once.
 //
 // The three (r,s) instances are one code path: session.cc keeps a kind
 // table (per kind: its space type, the index the space is made from, its
@@ -32,8 +32,8 @@
 // propagated through every cached layer in place — EdgeIndex ids are
 // tombstoned/appended, the dead/born triangle and 4-clique sets are
 // enumerated from the delta's neighborhoods only and applied as patches to
-// TriangleIndex, EdgeTriangleCsr, and the CSR co-member arenas — and the
-// kappa caches are re-seeded from the exact dynamic maintainers
+// TriangleIndex and the CSR co-member arenas — and the kappa caches are
+// re-seeded from the exact dynamic maintainers
 // (DynamicCoreMaintainer for (1,2), DynamicTrussMaintainer for (2,3),
 // DynamicNucleus34Maintainer for (3,4)), which keep kappa indexed by the
 // session's ids so the commit installs their vectors directly (see
@@ -57,8 +57,7 @@
 // every entry point returns Status / StatusOr (see common/status.h).
 //
 // Thread safety: Decompose / Hierarchy / EstimateQueries / Edges /
-// Triangles / EdgeTriangles may be called concurrently from any number of
-// threads. Internally the session holds a shared_mutex in shared mode on
+// Triangles may be called concurrently from any number of threads. Internally the session holds a shared_mutex in shared mode on
 // every read path and exclusively in Commit / InvalidateDerivedState, and
 // each piece of derived state lives in its own cell (build-outside,
 // install-under-lock; common/state_cell.h) — so a cold (3,4) arena build
@@ -209,7 +208,6 @@ struct DecomposeResult {
 struct SessionStats {
   std::uint64_t edge_index_builds = 0;
   std::uint64_t triangle_index_builds = 0;
-  std::uint64_t edge_triangle_csr_builds = 0;
   std::uint64_t core_arena_builds = 0;
   std::uint64_t truss_arena_builds = 0;
   std::uint64_t nucleus34_arena_builds = 0;
@@ -278,7 +276,7 @@ struct SessionStateStats {
   std::uint64_t arena_compressed_bytes[3] = {0, 0, 0};
   /// Estimated bytes of the graph's CSR arrays.
   std::uint64_t graph_bytes = 0;
-  /// Estimated bytes of the edge/triangle/edge-triangle indices.
+  /// Estimated bytes of the edge and triangle indices.
   std::uint64_t index_bytes = 0;
 
   /// Everything the session pins, the registry's eviction currency —
@@ -508,8 +506,6 @@ class NucleusSession {
   /// Canonical triangle ids of the current graph; `threads` parallelizes a
   /// first-time build (ignored afterwards).
   const TriangleIndex& Triangles(int threads = 1);
-  /// Per-edge triangle adjacency (CSR over edge ids).
-  const EdgeTriangleCsr& EdgeTriangles(int threads = 1);
 
   /// Number of r-clique ids of the kind (building the needed index; a
   /// failed build aborts as for Edges()). This is the id-space size: it
@@ -611,9 +607,8 @@ class NucleusSession {
   // Shared-lock-held internals (callers hold session_mu_ in shared or
   // exclusive mode).
   //
-  // The one builder of every index: EdgeIndex, TriangleIndex and
-  // EdgeTriangleCsr (and Graph, the (1,2) space's vertex "index", returned
-  // as is). A cached index is returned as-is even past a deadline; a build
+  // The one builder of every index: EdgeIndex and TriangleIndex (and
+  // Graph, the (1,2) space's vertex "index", returned as is). A cached index is returned as-is even past a deadline; a build
   // is cancellable via ctl where the index supports it and runs behind
   // its injected fault point, and a failed build installs NOTHING (the
   // next caller rebuilds from scratch). build_seconds (when non-null)
@@ -669,7 +664,6 @@ class NucleusSession {
 
   StateCell<EdgeIndex> edge_index_;
   StateCell<TriangleIndex> triangle_index_;
-  StateCell<EdgeTriangleCsr> edge_triangle_csr_;
   std::tuple<KindState<CoreSpace>, KindState<TrussSpace>,
              KindState<Nucleus34Space>>
       kinds_;

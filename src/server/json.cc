@@ -4,11 +4,25 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <optional>
 
 namespace nucleus {
 
 namespace {
 constexpr int kMaxDepth = 64;
+
+// The one number -> int64 conversion: a non-number, a number with a
+// fraction, or one with |d| >= 2^63 (where the cast is undefined) is no
+// integer.
+std::optional<std::int64_t> IntOf(const JsonValue& v) {
+  constexpr double kTwoTo63 = 9223372036854775808.0;
+  const double d = v.AsDouble();
+  if (v.type() != JsonValue::Type::kNumber || !(std::fabs(d) < kTwoTo63) ||
+      d != std::floor(d)) {
+    return std::nullopt;
+  }
+  return static_cast<std::int64_t>(d);
+}
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -235,16 +249,17 @@ StatusOr<std::string> JsonValue::GetString(const std::string& key,
   return v->AsString();
 }
 
+std::int64_t JsonValue::AsInt() const {
+  return IntOf(*this).value_or(0);
+}
+
 StatusOr<std::int64_t> JsonValue::GetInt(const std::string& key,
                                          std::int64_t def) const {
   const JsonValue* v = Find(key);
   if (v == nullptr || v->is_null()) return def;
   if (v->type() == Type::kNumber) {
-    const double d = v->AsDouble();
-    if (d != std::floor(d)) {
-      return Status::InvalidArgument("field '" + key + "' must be an integer");
-    }
-    return static_cast<std::int64_t>(d);
+    if (const auto i = IntOf(*v)) return *i;
+    return Status::InvalidArgument("field '" + key + "' must be an integer");
   }
   if (v->type() == Type::kString) {  // query-parameter shape
     const std::string& s = v->AsString();
@@ -273,17 +288,21 @@ JsonValue::GetPairList(const std::string& key) const {
   if (v == nullptr || v->is_null()) return out;
   if (v->type() != Type::kArray) {
     return Status::InvalidArgument("field '" + key +
-                                   "' must be an array of [u, v] pairs");
+                                   "' must be an array of [u, v] "
+                                   "integer pairs");
   }
   out.reserve(v->AsArray().size());
   for (const JsonValue& e : v->AsArray()) {
-    if (e.type() != Type::kArray || e.AsArray().size() != 2 ||
-        e.AsArray()[0].type() != Type::kNumber ||
-        e.AsArray()[1].type() != Type::kNumber) {
+    // A non-array element has an empty AsArray().
+    const std::vector<JsonValue>& pair = e.AsArray();
+    const auto u = pair.size() == 2 ? IntOf(pair[0]) : std::nullopt;
+    const auto w = pair.size() == 2 ? IntOf(pair[1]) : std::nullopt;
+    if (!u || !w) {
       return Status::InvalidArgument("field '" + key +
-                                     "' must be an array of [u, v] pairs");
+                                     "' must be an array of [u, v] "
+                                     "integer pairs");
     }
-    out.emplace_back(e.AsArray()[0].AsInt(), e.AsArray()[1].AsInt());
+    out.emplace_back(*u, *w);
   }
   return out;
 }
@@ -299,11 +318,12 @@ StatusOr<std::vector<std::int64_t>> JsonValue::GetIntList(
   }
   out.reserve(v->AsArray().size());
   for (const JsonValue& e : v->AsArray()) {
-    if (e.type() != Type::kNumber) {
+    const auto i = IntOf(e);
+    if (!i) {
       return Status::InvalidArgument("field '" + key +
                                      "' must be an array of integers");
     }
-    out.push_back(e.AsInt());
+    out.push_back(*i);
   }
   return out;
 }

@@ -34,9 +34,11 @@ class JsonValue {
 
   // Typed accessors; calling the wrong one returns a neutral default
   // (callers use the Get* helpers below, which report kInvalidArgument).
+  // AsInt's default also covers a number that is no int64 (a fraction, or
+  // |value| >= 2^63).
   bool AsBool() const { return bool_; }
   double AsDouble() const { return number_; }
-  std::int64_t AsInt() const { return static_cast<std::int64_t>(number_); }
+  std::int64_t AsInt() const;
   const std::string& AsString() const { return string_; }
   const std::vector<JsonValue>& AsArray() const { return array_; }
 
@@ -46,8 +48,9 @@ class JsonValue {
 
   // Request-decoding helpers over an object root. A missing key yields the
   // default; a present key of the wrong shape is a kInvalidArgument naming
-  // the key. GetInt additionally accepts integral-valued strings ("8"), the
-  // shape HTTP query parameters arrive in.
+  // the key. Numbers decode to integers only when they have no fraction
+  // and |value| < 2^63. GetInt additionally accepts integral-valued
+  // strings ("8"), the shape HTTP query parameters arrive in.
   StatusOr<std::string> GetString(const std::string& key,
                                   const std::string& def = "") const;
   StatusOr<std::int64_t> GetInt(const std::string& key,

@@ -13,6 +13,7 @@
 #include <unistd.h>
 #endif
 
+#include "src/common/thread_pool.h"
 #include "src/core/densest.h"
 #include "src/server/json.h"
 
@@ -208,7 +209,6 @@ void WriteSessionStats(JsonWriter& w, const SessionStateStats& s) {
   w.Key("decompose_cache_hits").UInt(c.decompose_cache_hits);
   w.Key("edge_index_builds").UInt(c.edge_index_builds);
   w.Key("triangle_index_builds").UInt(c.triangle_index_builds);
-  w.Key("edge_triangle_csr_builds").UInt(c.edge_triangle_csr_builds);
   w.Key("core_arena_builds").UInt(c.core_arena_builds);
   w.Key("truss_arena_builds").UInt(c.truss_arena_builds);
   w.Key("nucleus34_arena_builds").UInt(c.nucleus34_arena_builds);
@@ -337,6 +337,14 @@ std::int64_t PreAdmissionDeadlineMs(const ServerRequest& request,
     }
   }
   return deadline_ms;
+}
+
+// A request's worker count, capped at the host's hardware threads: results
+// do not depend on it, and the process-wide pool never shrinks, so an
+// uncapped value would leave that many idle threads behind.
+int ClampThreads(std::int64_t requested) {
+  return static_cast<int>(
+      std::clamp<std::int64_t>(requested, 1, HardwareThreads()));
 }
 
 }  // namespace
@@ -732,7 +740,7 @@ ServerResponse ServerCore::HandleDecompose(const JsonValue& body,
 
   DecomposeOptions options;
   options.method = *method;
-  options.threads = static_cast<int>(std::max<std::int64_t>(1, *threads));
+  options.threads = ClampThreads(*threads);
   options.max_iterations =
       static_cast<int>(std::max<std::int64_t>(0, *max_iterations));
   options.materialize = *materialize;
@@ -859,7 +867,7 @@ ServerResponse ServerCore::HandleQuery(const JsonValue& body, RunControl ctl) {
   options.radius = static_cast<int>(std::max<std::int64_t>(0, *radius));
   options.max_iterations =
       static_cast<int>(std::max<std::int64_t>(0, *max_iterations));
-  options.threads = static_cast<int>(std::max<std::int64_t>(1, *threads));
+  options.threads = ClampThreads(*threads);
   auto estimate = target->entry->session.EstimateQueries(
       target->kind, queries, options, ctl);
   if (!estimate.ok()) return ErrorResponse(estimate.status());
@@ -897,7 +905,7 @@ ServerResponse ServerCore::HandleHierarchy(const JsonValue& body,
   if (!materialize.ok()) return ErrorResponse(materialize.status());
 
   DecomposeOptions options;
-  options.threads = static_cast<int>(std::max<std::int64_t>(1, *threads));
+  options.threads = ClampThreads(*threads);
   options.materialize = *materialize;
   options.materialize_budget_bytes = entry->arena_budget_bytes;
   ApplyControl(ctl, &options);

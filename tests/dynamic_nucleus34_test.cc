@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "src/clique/delta.h"
+#include "src/clique/intersect.h"
 #include "src/clique/triangles.h"
 #include "src/common/rng.h"
 #include "src/graph/builder.h"
@@ -64,8 +65,8 @@ TEST(DynamicNucleus34, PrecomputedKappaCtorIgnoresTombstonedIds) {
   b.AddVertex(g0.NumVertices() - 1);
   const Graph g1 = b.Build();
   std::vector<std::array<VertexId, 3>> dead;
-  tris.ForEachTriangleOfEdge(g0, ru, rv, [&](TriangleId t, VertexId) {
-    dead.push_back(tris.Vertices(t));
+  ForEachCommon(g0.Neighbors(ru), g0.Neighbors(rv), [&](VertexId w) {
+    dead.push_back(tris.Vertices(tris.TriangleIdOf(ru, rv, w)));
   });
   std::sort(dead.begin(), dead.end());
   ASSERT_FALSE(dead.empty());

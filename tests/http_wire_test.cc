@@ -8,6 +8,8 @@
 #include <cmath>
 #include <cstdint>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "src/server/http.h"
 #include "src/server/json.h"
@@ -195,6 +197,47 @@ TEST(Json, RequestDecodingHelpers) {
             StatusCode::kInvalidArgument);
   EXPECT_EQ(v->GetIntList("s").status().code(),
             StatusCode::kInvalidArgument);
+}
+
+// Numbers decode to integers only when exact: a fraction or |value| >=
+// 2^63 (where a cast is undefined) is an error naming the field, in scalar
+// and list fields alike.
+TEST(Json, IntegerFieldsRejectInexactNumbers) {
+  for (const char* bad : {"1e300", "-1e300", "9.3e18", "9223372036854775808",
+                          "-9223372036854775808", "2.5", "-0.5"}) {
+    auto v = JsonValue::Parse(std::string(R"({"threads":)") + bad +
+                              R"(,"ids":[)" + bad + R"(],"insert":[[)" +
+                              bad + R"(,3]],"remove":[[3,)" + bad + "]]}");
+    ASSERT_TRUE(v.ok()) << bad;
+    const auto threads = v->GetInt("threads");
+    EXPECT_EQ(threads.status().code(), StatusCode::kInvalidArgument) << bad;
+    EXPECT_NE(threads.status().message().find("'threads'"), std::string::npos)
+        << threads.status().ToString();
+    const auto ids = v->GetIntList("ids");
+    EXPECT_EQ(ids.status().code(), StatusCode::kInvalidArgument) << bad;
+    EXPECT_NE(ids.status().message().find("'ids'"), std::string::npos);
+    const auto insert = v->GetPairList("insert");
+    EXPECT_EQ(insert.status().code(), StatusCode::kInvalidArgument) << bad;
+    EXPECT_NE(insert.status().message().find("'insert'"), std::string::npos);
+    EXPECT_EQ(v->GetPairList("remove").status().code(),
+              StatusCode::kInvalidArgument)
+        << bad;
+    EXPECT_EQ(v->Find("threads")->AsInt(), 0) << bad;  // neutral default
+  }
+  // Exact integers still decode, 2^53 included.
+  auto v = JsonValue::Parse(
+      R"({"big":9007199254740992,"neg":-9007199254740992,"zero":-0.0,)"
+      R"("e":1e3,"ids":[9007199254740992,0],"pairs":[[1e2,2]]})");
+  ASSERT_TRUE(v.ok());
+  EXPECT_EQ(v->GetInt("big").value(), std::int64_t{1} << 53);
+  EXPECT_EQ(v->GetInt("neg").value(), -(std::int64_t{1} << 53));
+  EXPECT_EQ(v->GetInt("zero").value(), 0);
+  EXPECT_EQ(v->GetInt("e").value(), 1000);
+  EXPECT_EQ(v->GetIntList("ids").value(),
+            (std::vector<std::int64_t>{std::int64_t{1} << 53, 0}));
+  EXPECT_EQ(v->GetPairList("pairs").value()[0],
+            (std::pair<std::int64_t, std::int64_t>{100, 2}));
+  EXPECT_EQ(v->Find("big")->AsInt(), std::int64_t{1} << 53);
 }
 
 TEST(Json, WriterRoundTripsThroughParser) {

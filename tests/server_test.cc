@@ -24,8 +24,10 @@
 #include <shared_mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "src/common/thread_pool.h"
 #include "src/core/session.h"
 #include "src/graph/generators.h"
 #include "src/server/http.h"
@@ -151,6 +153,29 @@ TEST(ServerCore, MalformedRequestsAreStatusNotCrash) {
                    R"({"graph":"g","insert":[[0,999999]]})"})
           .status.code(),
       StatusCode::kInvalidArgument);
+}
+
+// The process-wide pool never shrinks, so a request's `threads` is capped
+// at the host's hardware threads: an uncapped 1000 would grow the pool to
+// min(1000, n) - 1 workers. A 48-vertex graph bounds what a broken cap can
+// start at 47 threads.
+TEST(ServerCore, RequestThreadsAreCappedAtHardwareThreads) {
+  ServerCore server(Config(1));
+  ASSERT_TRUE(server.registry().Add("g", GenerateComplete(48)).ok());
+  const std::size_t before = ThreadPool::Get().ThreadsCreated();
+  for (const auto& [endpoint, body] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"decompose",
+            R"({"graph":"g","kind":"core","threads":1000,"no_cache":true})"},
+           {"hierarchy", R"({"graph":"g","kind":"core","threads":1000})"},
+           {"query",
+            R"({"graph":"g","kind":"core","ids":[0],"radius":1,)"
+            R"("threads":1000})"}}) {
+    const ServerResponse r = server.Handle({endpoint, body});
+    ASSERT_TRUE(r.status.ok()) << endpoint << ": " << r.status.ToString();
+  }
+  EXPECT_LE(ThreadPool::Get().ThreadsCreated(),
+            std::max(before, static_cast<std::size_t>(HardwareThreads() - 1)));
 }
 
 // The tentpole proof: 8 concurrent cold (3,4) requests, one arena/index

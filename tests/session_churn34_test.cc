@@ -9,7 +9,7 @@
 //     to a full from-scratch rebuild over the same patched id space —
 //     which also pins the level partition: new_members of the level-k
 //     nodes ARE the kappa == k live ids.
-// The final stats prove the contract: zero index/arena/CSR/hierarchy
+// The final stats prove the contract: zero index/arena/hierarchy
 // builds beyond the warm-up, zero compactions, one (2,3) and one (3,4)
 // kappa re-seed plus three hierarchy repairs per commit. Runs at 1, 4,
 // and 8 threads, with concurrent reader bursts interleaved between
@@ -130,7 +130,6 @@ void ChurnAndCertify(int threads, std::uint64_t seed) {
     ASSERT_TRUE(session.Decompose(kind, warm).ok());
     ASSERT_TRUE(session.Hierarchy(kind, warm).ok());  // cache all three
   }
-  session.EdgeTriangles(threads);
   const SessionStats warm_stats = session.stats();
   ASSERT_EQ(warm_stats.hierarchy_builds, 3);
 
@@ -185,13 +184,11 @@ void ChurnAndCertify(int threads, std::uint64_t seed) {
   }
 
   // The contract, in counters: the whole 100-commit churn ran with zero
-  // engine reruns, zero index/arena/CSR rebuilds, zero full hierarchy
+  // engine reruns, zero index/arena rebuilds, zero full hierarchy
   // rebuilds (only localized repairs), and zero compactions.
   const SessionStats stats = session.stats();
   EXPECT_EQ(stats.edge_index_builds, warm_stats.edge_index_builds);
   EXPECT_EQ(stats.triangle_index_builds, warm_stats.triangle_index_builds);
-  EXPECT_EQ(stats.edge_triangle_csr_builds,
-            warm_stats.edge_triangle_csr_builds);
   EXPECT_EQ(stats.core_arena_builds, warm_stats.core_arena_builds);
   EXPECT_EQ(stats.truss_arena_builds, warm_stats.truss_arena_builds);
   EXPECT_EQ(stats.nucleus34_arena_builds,

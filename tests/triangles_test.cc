@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <array>
 #include <set>
-#include <utility>
 #include <vector>
 
 #include "src/graph/builder.h"
@@ -116,18 +115,6 @@ TEST(TriangleIndex, MissingTriangleInvalid) {
   EXPECT_EQ(tris.TriangleIdOf(0, 1, 2), kInvalidTriangle);
 }
 
-TEST(TriangleIndex, ForEachTriangleOfEdge) {
-  const Graph g = GenerateComplete(5);
-  const TriangleIndex tris(g);
-  std::size_t count = 0;
-  tris.ForEachTriangleOfEdge(g, 0, 1, [&](TriangleId t, VertexId w) {
-    EXPECT_NE(t, kInvalidTriangle);
-    EXPECT_GT(w, 1u);
-    ++count;
-  });
-  EXPECT_EQ(count, 3u);  // K5: edge {0,1} in triangles with 2, 3, 4
-}
-
 TEST(TriangleIndex, ParallelBuildMatchesSerial) {
   const Graph g = GenerateBarabasiAlbert(200, 5, 11);
   const TriangleIndex serial(g, 1);
@@ -164,43 +151,6 @@ TEST(ForEachTriangleBlocks, CoversEveryTriangleOnce) {
   EXPECT_EQ(merged, serial);
 }
 
-TEST(EdgeTriangleCsr, MatchesOnTheFlyLookups) {
-  const Graph g = GenerateBarabasiAlbert(120, 5, 23);
-  const EdgeIndex edges(g);
-  const TriangleIndex tris(g);
-  for (const int threads : {1, 4}) {
-    const EdgeTriangleCsr csr(edges, tris, threads);
-    ASSERT_EQ(csr.NumEdges(), edges.NumEdges());
-    for (EdgeId e = 0; e < edges.NumEdges(); ++e) {
-      const auto [u, v] = edges.Endpoints(e);
-      std::vector<std::pair<TriangleId, VertexId>> expect;
-      tris.ForEachTriangleOfEdge(g, u, v, [&](TriangleId t, VertexId w) {
-        expect.emplace_back(t, w);
-      });
-      std::sort(expect.begin(), expect.end());
-      std::vector<std::pair<TriangleId, VertexId>> got;
-      csr.ForEachTriangleOfEdge(e, [&](TriangleId t, VertexId w) {
-        got.emplace_back(t, w);
-      });
-      // CSR reports ascending ids already; sort defensively for the diff.
-      std::sort(got.begin(), got.end());
-      EXPECT_EQ(got, expect) << "edge " << e;
-      EXPECT_EQ(csr.TriangleCount(e), expect.size());
-    }
-  }
-}
-
-TEST(EdgeTriangleCsr, CountsEqualPerEdgeTriangleCounts) {
-  const Graph g = GenerateBarabasiAlbert(100, 4, 29);
-  const EdgeIndex edges(g);
-  const TriangleIndex tris(g);
-  const EdgeTriangleCsr csr(edges, tris, 2);
-  const auto d3 = TriangleCountsPerEdge(g, edges);
-  for (EdgeId e = 0; e < edges.NumEdges(); ++e) {
-    EXPECT_EQ(csr.TriangleCount(e), d3[e]);
-  }
-}
-
 TEST(TriangleIndex, ApplyDeltaTombstonesAppendsAndRevives) {
   // Two triangles sharing edge (1,2): {0,1,2} and {1,2,3}.
   GraphBuilder b;
@@ -231,43 +181,6 @@ TEST(TriangleIndex, ApplyDeltaTombstonesAppendsAndRevives) {
   EXPECT_EQ(tris.NumLiveTriangles(), 2u);
   EXPECT_FALSE(tris.IsLive(2));
   EXPECT_TRUE(tris.IsLive(t012));
-}
-
-TEST(EdgeTriangleCsr, ApplyDeltaPatchesEntriesInPlace) {
-  // K4 on {0,1,2,3}: four triangles, every edge in two of them.
-  GraphBuilder b;
-  for (VertexId u = 0; u < 4; ++u) {
-    for (VertexId v = u + 1; v < 4; ++v) b.AddEdge(u, v);
-  }
-  const Graph g = b.Build();
-  EdgeIndex edges(g);
-  TriangleIndex tris(g);
-  EdgeTriangleCsr csr(edges, tris);
-  // Simulate removing edge (0,1): triangles {0,1,2} and {0,1,3} die.
-  const TriangleId t012 = tris.TriangleIdOf(0, 1, 2);
-  const TriangleId t013 = tris.TriangleIdOf(0, 1, 3);
-  const EdgeId e01 = edges.EdgeIdOf(0, 1);
-  const std::vector<EdgeTriangleCsr::TrianglePatch> dead = {
-      {t012, {e01, edges.EdgeIdOf(0, 2), edges.EdgeIdOf(1, 2)}, {2, 1, 0}},
-      {t013, {e01, edges.EdgeIdOf(0, 3), edges.EdgeIdOf(1, 3)}, {3, 1, 0}},
-  };
-  const std::vector<EdgeId> dead_edges = {e01};
-  csr.ApplyDelta(dead, {}, dead_edges, edges.NumEdges());
-  EXPECT_EQ(csr.TriangleCount(e01), 0u);
-  EXPECT_EQ(csr.TriangleCount(edges.EdgeIdOf(0, 2)), 1u);
-  EXPECT_EQ(csr.TriangleCount(edges.EdgeIdOf(2, 3)), 2u);
-  std::vector<TriangleId> got;
-  csr.ForEachTriangleOfEdge(edges.EdgeIdOf(0, 2),
-                            [&](TriangleId t, VertexId w) {
-                              got.push_back(t);
-                              EXPECT_EQ(w, 3u);  // only {0,2,3} survives
-                            });
-  ASSERT_EQ(got.size(), 1u);
-  EXPECT_EQ(got[0], tris.TriangleIdOf(0, 2, 3));
-  // Patch the triangles back in (edge (0,1) restored).
-  csr.ApplyDelta({}, dead, {}, edges.NumEdges());
-  EXPECT_EQ(csr.TriangleCount(e01), 2u);
-  EXPECT_EQ(csr.TriangleCount(edges.EdgeIdOf(0, 2)), 2u);
 }
 
 // ---------------------------------------------------------------------------
