@@ -15,24 +15,38 @@
 namespace nucleus::bench {
 namespace {
 
+// Applies one random insert or remove to g and reports it to m; false when
+// the pair was invalid, already present, or absent.
+template <typename Maintainer>
+bool Mutate(WorkingGraph& g, Maintainer& m, Rng& rng) {
+  const std::size_t n = g.NumVertices();
+  const VertexId u = static_cast<VertexId>(rng.UniformInt(0, n - 1));
+  const VertexId v = static_cast<VertexId>(rng.UniformInt(0, n - 1));
+  if (rng.Flip(0.5)) {
+    if (!g.Insert(u, v)) return false;
+    m.EdgeInserted(g, u, v);
+  } else {
+    if (!g.Erase(u, v)) return false;
+    m.EdgeErased(g, u, v);
+  }
+  return true;
+}
+
 void CoreRow(const Dataset& d, int mutations) {
+  WorkingGraph g(d.graph);
   DynamicCoreMaintainer m(d.graph);
   Rng rng(77);
-  const std::size_t n = d.graph.NumVertices();
   Timer t;
   std::size_t applied = 0, work = 0;
   for (int i = 0; i < mutations; ++i) {
-    const VertexId u = static_cast<VertexId>(rng.UniformInt(0, n - 1));
-    const VertexId v = static_cast<VertexId>(rng.UniformInt(0, n - 1));
-    const bool ok = rng.Flip(0.5) ? m.InsertEdge(u, v) : m.RemoveEdge(u, v);
-    if (ok) {
+    if (Mutate(g, m, rng)) {
       ++applied;
       work += m.LastRepairWork();
     }
   }
   const double incr_s = t.Seconds();
   t.Restart();
-  const auto check = CoreNumbers(m.ToGraph());
+  const auto check = CoreNumbers(g.ToGraph());
   const double full_s = t.Seconds();
   const bool exact = check == m.CoreNumbersView();
   std::printf("%-18s core  %6zu muts %9s s  %8.1f work/mut  "
@@ -43,27 +57,24 @@ void CoreRow(const Dataset& d, int mutations) {
 }
 
 void TrussRow(const Dataset& d, int mutations) {
+  WorkingGraph g(d.graph);
   DynamicTrussMaintainer m(d.graph);
   Rng rng(78);
-  const std::size_t n = d.graph.NumVertices();
   Timer t;
   std::size_t applied = 0, work = 0;
   for (int i = 0; i < mutations; ++i) {
-    const VertexId u = static_cast<VertexId>(rng.UniformInt(0, n - 1));
-    const VertexId v = static_cast<VertexId>(rng.UniformInt(0, n - 1));
-    const bool ok = rng.Flip(0.5) ? m.InsertEdge(u, v) : m.RemoveEdge(u, v);
-    if (ok) {
+    if (Mutate(g, m, rng)) {
       ++applied;
       work += m.LastRepairWork();
     }
   }
   const double incr_s = t.Seconds();
   t.Restart();
-  const Graph now = m.ToGraph();
+  const Graph now = g.ToGraph();
   const EdgeIndex edges(now);
   const auto check = TrussNumbers(now, edges);
   const double full_s = t.Seconds();
-  const bool exact = check == m.TrussNumbersInIndexOrder();
+  const bool exact = check == m.TrussNumbersInIndexOrder(g);
   std::printf("%-18s truss %6zu muts %9s s  %8.1f work/mut  "
               "recompute-each would be ~%8s s  %s\n",
               d.name.c_str(), applied, Fmt(incr_s).c_str(),

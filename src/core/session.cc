@@ -759,10 +759,10 @@ StatusOr<QueryEstimate> NucleusSession::EstimateQueries(
 }
 
 bool NucleusSession::UpdateBatch::InsertEdge(VertexId u, VertexId v) {
-  const bool applied = maintainer_.InsertEdge(u, v);
-  if (!applied) return false;
-  if (truss_maintainer_) truss_maintainer_->InsertEdge(u, v);
-  if (n34_maintainer_) n34_maintainer_->InsertEdge(u, v);
+  if (!graph_.Insert(u, v)) return false;
+  maintainer_.EdgeInserted(graph_, u, v);
+  if (truss_maintainer_) truss_maintainer_->EdgeInserted(graph_, u, v);
+  if (n34_maintainer_) n34_maintainer_->EdgeInserted(graph_, u, v);
   ++mutations_;
   const auto it = net_.find(PairKey(u, v));
   if (it != net_.end()) {
@@ -774,10 +774,10 @@ bool NucleusSession::UpdateBatch::InsertEdge(VertexId u, VertexId v) {
 }
 
 bool NucleusSession::UpdateBatch::RemoveEdge(VertexId u, VertexId v) {
-  const bool applied = maintainer_.RemoveEdge(u, v);
-  if (!applied) return false;
-  if (truss_maintainer_) truss_maintainer_->RemoveEdge(u, v);
-  if (n34_maintainer_) n34_maintainer_->RemoveEdge(u, v);
+  if (!graph_.Erase(u, v)) return false;
+  maintainer_.EdgeErased(graph_, u, v);
+  if (truss_maintainer_) truss_maintainer_->EdgeErased(graph_, u, v);
+  if (n34_maintainer_) n34_maintainer_->EdgeErased(graph_, u, v);
   ++mutations_;
   const auto it = net_.find(PairKey(u, v));
   if (it != net_.end()) {
@@ -839,14 +839,15 @@ NucleusSession::UpdateBatch NucleusSession::BeginUpdates() {
   if (auto& n34 = kappa[Slot(Nucleus34Kind{})]; n34.has_value()) {
     const TriangleIndex* tris = triangle_index_.TryGet();
     if (tris != nullptr && n34->size() == tris->NumTriangles()) {
-      n34_maintainer.emplace(*graph_, *tris, std::move(*n34));
+      n34_maintainer.emplace(*tris, std::move(*n34));
     }
   }
   auto& core = kappa[Slot(CoreKind{})];
   DynamicCoreMaintainer core_maintainer =
-      core.has_value() ? DynamicCoreMaintainer(*graph_, std::move(*core))
+      core.has_value() ? DynamicCoreMaintainer(std::move(*core))
                        : DynamicCoreMaintainer(*graph_);
-  return UpdateBatch(this, std::move(core_maintainer),
+  // The batch's one adjacency, which every maintainer repairs over.
+  return UpdateBatch(this, WorkingGraph(*graph_), std::move(core_maintainer),
                      std::move(truss_maintainer), std::move(n34_maintainer),
                      commit_epoch_, reset_epoch_);
 }
@@ -869,7 +870,7 @@ Status NucleusSession::CommitUpdates(UpdateBatch* batch, RunControl ctl) {
     BumpStat(&SessionStats::commits);
     return Status::Ok();  // graph unchanged: keep every cache
   }
-  Status s = PropagateDelta(delta, batch->maintainer_.ToGraph(), *batch, ctl);
+  Status s = PropagateDelta(delta, batch->graph_.ToGraph(), *batch, ctl);
   if (!s.ok()) return s;
   // Their kappa now lives in the session's caches.
   batch->truss_maintainer_.reset();

@@ -359,6 +359,12 @@ class NucleusSession {
   /// the mutation-path comment at the top). An uncommitted batch is
   /// discarded.
   ///
+  /// The batch holds one adjacency: a WorkingGraph copied from the
+  /// session's graph in BeginUpdates. Each InsertEdge / RemoveEdge changes
+  /// it once and then has every maintainer repair over it; the
+  /// maintainers keep no adjacency of their own, and Commit materializes
+  /// the new graph from it.
+  ///
   /// The truss and (3,4) maintainers keep kappa in a vector indexed by
   /// the session's edge / triangle ids (the base), written in place, plus
   /// a small side store for the edges and triangles born inside the batch.
@@ -376,6 +382,7 @@ class NucleusSession {
     /// Commit (it reports kFailedPrecondition).
     UpdateBatch(UpdateBatch&& other) noexcept
         : session_(other.session_),
+          graph_(std::move(other.graph_)),
           maintainer_(std::move(other.maintainer_)),
           truss_maintainer_(std::move(other.truss_maintainer_)),
           n34_maintainer_(std::move(other.n34_maintainer_)),
@@ -405,8 +412,9 @@ class NucleusSession {
     /// Exact truss number of {u, v} in the batch's working graph, or
     /// kInvalidClique when absent / not maintaining truss.
     Degree TrussNumberOf(VertexId u, VertexId v) const {
-      return truss_maintainer_ ? truss_maintainer_->TrussNumberOf(u, v)
-                               : kInvalidClique;
+      return truss_maintainer_
+                 ? truss_maintainer_->TrussNumberOf(graph_, u, v)
+                 : kInvalidClique;
     }
     /// True when the batch also repairs (3,4)-nucleus numbers (the session
     /// had exact (3,4) kappa cached when BeginUpdates ran); Commit then
@@ -415,8 +423,9 @@ class NucleusSession {
     /// Exact kappa_4 of triangle {u, v, w} in the batch's working graph,
     /// or kInvalidClique when absent / not maintaining (3,4).
     Degree Nucleus34NumberOf(VertexId u, VertexId v, VertexId w) const {
-      return n34_maintainer_ ? n34_maintainer_->Nucleus34NumberOf(u, v, w)
-                             : kInvalidClique;
+      return n34_maintainer_
+                 ? n34_maintainer_->Nucleus34NumberOf(graph_, u, v, w)
+                 : kInvalidClique;
     }
     /// Vertices recomputed by the last mutation (locality measure).
     std::size_t LastRepairWork() const {
@@ -451,11 +460,13 @@ class NucleusSession {
 
    private:
     friend class NucleusSession;
-    UpdateBatch(NucleusSession* session, DynamicCoreMaintainer maintainer,
+    UpdateBatch(NucleusSession* session, WorkingGraph graph,
+                DynamicCoreMaintainer maintainer,
                 std::optional<DynamicTrussMaintainer> truss_maintainer,
                 std::optional<DynamicNucleus34Maintainer> n34_maintainer,
                 std::uint64_t epoch, std::uint64_t reset_epoch)
         : session_(session),
+          graph_(std::move(graph)),
           maintainer_(std::move(maintainer)),
           truss_maintainer_(std::move(truss_maintainer)),
           n34_maintainer_(std::move(n34_maintainer)),
@@ -473,6 +484,7 @@ class NucleusSession {
     EdgeDelta NetDelta() const;
 
     NucleusSession* session_ = nullptr;
+    WorkingGraph graph_;  // the batch's one adjacency
     DynamicCoreMaintainer maintainer_;
     std::optional<DynamicTrussMaintainer> truss_maintainer_;
     std::optional<DynamicNucleus34Maintainer> n34_maintainer_;

@@ -1,33 +1,25 @@
 #include "src/local/dynamic.h"
 
 #include <algorithm>
-#include <cassert>
 
 #include "src/peel/kcore.h"
 
 namespace nucleus {
 
 DynamicCoreMaintainer::DynamicCoreMaintainer(const Graph& g)
-    : graph_(g), kappa_(CoreNumbers(g)) {}
+    : kappa_(CoreNumbers(g)) {}
 
-DynamicCoreMaintainer::DynamicCoreMaintainer(const Graph& g,
-                                             std::vector<Degree> kappa)
-    : graph_(g), kappa_(std::move(kappa)) {
-  assert(kappa_.NumBaseIds() == g.NumVertices());
-}
+DynamicCoreMaintainer::DynamicCoreMaintainer(std::vector<Degree> kappa)
+    : kappa_(std::move(kappa)) {}
 
-DynamicCoreMaintainer::DynamicCoreMaintainer(std::size_t n)
-    : graph_(n), kappa_(std::vector<Degree>(n, 0)) {}
-
-bool DynamicCoreMaintainer::InsertEdge(VertexId u, VertexId v) {
-  if (!graph_.Insert(u, v)) return false;
-
+void DynamicCoreMaintainer::EdgeInserted(const WorkingGraph& g, VertexId u,
+                                         VertexId v) {
   // Only the k-subcore reachable from the endpoints through kappa == k
   // vertices (k = min endpoint kappa) can rise, and by at most one. Build
   // the new upper bound by bumping exactly that region.
   const Degree k = std::min(kappa_[u], kappa_[v]);
   std::vector<CliqueId> region;
-  std::vector<bool> in_region(NumVertices(), false);
+  std::vector<bool> in_region(g.NumVertices(), false);
   for (VertexId s : {u, v}) {
     if (kappa_[s] == k && !in_region[s]) {
       in_region[s] = true;
@@ -35,7 +27,7 @@ bool DynamicCoreMaintainer::InsertEdge(VertexId u, VertexId v) {
     }
   }
   for (std::size_t head = 0; head < region.size(); ++head) {
-    for (VertexId y : graph_.Neighbors(region[head])) {
+    for (VertexId y : g.Neighbors(region[head])) {
       if (kappa_[y] == k && !in_region[y]) {
         in_region[y] = true;
         region.push_back(y);
@@ -43,33 +35,32 @@ bool DynamicCoreMaintainer::InsertEdge(VertexId u, VertexId v) {
     }
   }
   for (CliqueId x : region) {
-    kappa_.Set(x, std::min<Degree>(GetDegree(x), kappa_[x] + 1));
+    kappa_.Set(x, std::min<Degree>(g.Neighbors(x).size(), kappa_[x] + 1));
   }
-  Repair(std::move(region));
-  return true;
+  Repair(g, std::move(region));
 }
 
-bool DynamicCoreMaintainer::RemoveEdge(VertexId u, VertexId v) {
-  if (!graph_.Erase(u, v)) return false;
+void DynamicCoreMaintainer::EdgeErased(const WorkingGraph& g, VertexId u,
+                                       VertexId v) {
   // Deletion can only lower kappa; the old values clamped to the new
   // degrees are a valid upper bound to repair from.
   for (VertexId s : {u, v}) {
-    kappa_.Set(s, std::min<Degree>(kappa_[s], GetDegree(s)));
+    kappa_.Set(s, std::min<Degree>(kappa_[s], g.Neighbors(s).size()));
   }
-  Repair({u, v});
-  return true;
+  Repair(g, {u, v});
 }
 
-void DynamicCoreMaintainer::Repair(std::vector<CliqueId> seeds) {
+void DynamicCoreMaintainer::Repair(const WorkingGraph& g,
+                                   std::vector<CliqueId> seeds) {
   // The seeds' neighbors are seeds too: their h-index inputs changed.
   const std::size_t n = seeds.size();
   for (std::size_t i = 0; i < n; ++i) {
-    for (VertexId y : graph_.Neighbors(seeds[i])) seeds.push_back(y);
+    for (VertexId y : g.Neighbors(seeds[i])) seeds.push_back(y);
   }
   // For the core instance rho(edge {x,y}) = tau(y).
   last_repair_work_ =
       kappa_.Repair(seeds, [&](CliqueId x, auto&& fn) {
-        for (VertexId y : graph_.Neighbors(x)) {
+        for (VertexId y : g.Neighbors(x)) {
           const CliqueId co[1] = {y};
           fn(std::span<const CliqueId>(co, 1));
         }

@@ -28,27 +28,23 @@
 
 namespace nucleus {
 
-/// Maintains exact core numbers of a mutable simple graph.
+/// Maintains exact core numbers of a mutable simple graph. The graph is
+/// the caller's: it changes the edge first, then reports the change, and
+/// passes the graph to every call that reads adjacency.
 class DynamicCoreMaintainer {
  public:
   /// Starts from an existing graph (core numbers computed internally).
   explicit DynamicCoreMaintainer(const Graph& g);
 
-  /// Starts from an existing graph whose exact core numbers are already
-  /// known (e.g. the session's kappa cache), skipping the internal
-  /// decomposition. Precondition: kappa.size() == g.NumVertices() and the
-  /// values are the exact core numbers of g.
-  DynamicCoreMaintainer(const Graph& g, std::vector<Degree> kappa);
+  /// Starts from known exact core numbers (e.g. the session's kappa
+  /// cache), skipping the decomposition; one value per vertex.
+  explicit DynamicCoreMaintainer(std::vector<Degree> kappa);
 
-  /// Starts from an empty graph on n vertices.
-  explicit DynamicCoreMaintainer(std::size_t n);
+  /// Repairs core numbers after {u, v} was inserted into g.
+  void EdgeInserted(const WorkingGraph& g, VertexId u, VertexId v);
 
-  /// Inserts undirected edge {u, v}. Returns false (no-op) if the edge
-  /// exists or u == v. Repairs core numbers locally.
-  bool InsertEdge(VertexId u, VertexId v);
-
-  /// Removes undirected edge {u, v}. Returns false if absent.
-  bool RemoveEdge(VertexId u, VertexId v);
+  /// Repairs core numbers after {u, v} was erased from g.
+  void EdgeErased(const WorkingGraph& g, VertexId u, VertexId v);
 
   /// Current exact core numbers.
   const std::vector<Degree>& CoreNumbersView() const {
@@ -61,27 +57,15 @@ class DynamicCoreMaintainer {
     return kappa_.ChangedIds();
   }
 
-  /// Current degree of v.
-  Degree GetDegree(VertexId v) const {
-    return static_cast<Degree>(graph_.Neighbors(v).size());
-  }
-
-  std::size_t NumVertices() const { return graph_.NumVertices(); }
-  std::size_t NumEdges() const { return graph_.NumEdges(); }
-
   /// Vertices whose tau was recomputed during the last mutation (work
   /// measure; the point of locality is that this stays small).
   std::size_t LastRepairWork() const { return last_repair_work_; }
 
-  /// Materializes the current graph as an immutable CSR Graph.
-  Graph ToGraph() const { return graph_.ToGraph(); }
-
  private:
   // Runs the worklist repair from the given seeds and their neighbors;
   // kappa_ must be a valid upper bound (kappa <= tau <= degree) on entry.
-  void Repair(std::vector<CliqueId> seeds);
+  void Repair(const WorkingGraph& g, std::vector<CliqueId> seeds);
 
-  WorkingGraph graph_;
   KappaStore<1> kappa_;
   std::size_t last_repair_work_ = 0;
 };

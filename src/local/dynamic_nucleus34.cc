@@ -16,23 +16,26 @@ std::array<VertexId, 3> SortedTriple(VertexId a, VertexId b, VertexId c) {
   return t;
 }
 
+// Number of 4-cliques containing the (present) triangle t of g.
+Degree QuadCount(const WorkingGraph& g, const std::array<VertexId, 3>& t) {
+  Degree count = 0;
+  ForEachCommon3(g.Neighbors(t[0]), g.Neighbors(t[1]), g.Neighbors(t[2]),
+                 [&](VertexId) { ++count; });
+  return count;
+}
+
 }  // namespace
 
 DynamicNucleus34Maintainer::DynamicNucleus34Maintainer(const Graph& g)
-    : graph_(g),
-      base_(g),
+    : base_(g),
       kappa_(Nucleus34Numbers(g, base_)),
       num_triangles_(base_.NumTriangles()) {}
 
 DynamicNucleus34Maintainer::DynamicNucleus34Maintainer(
-    const Graph& g, TriangleIndex tris, std::vector<Degree> kappa)
-    : graph_(g),
-      base_(std::move(tris)),
+    TriangleIndex tris, std::vector<Degree> kappa)
+    : base_(std::move(tris)),
       kappa_(std::move(kappa)),
       num_triangles_(base_.NumLiveTriangles()) {}
-
-DynamicNucleus34Maintainer::DynamicNucleus34Maintainer(std::size_t n)
-    : graph_(n), base_(graph_.ToGraph()), kappa_(std::vector<Degree>{}) {}
 
 CliqueId DynamicNucleus34Maintainer::IdOf(VertexId a, VertexId b,
                                           VertexId c) const {
@@ -45,19 +48,13 @@ DynamicNucleus34Maintainer::Triple DynamicNucleus34Maintainer::Vertices(
   return t >= kappa_.NumBaseIds() ? kappa_.BornTuple(t) : base_.Vertices(t);
 }
 
-Degree DynamicNucleus34Maintainer::QuadCount(const Triple& t) const {
-  Degree count = 0;
-  ForEachCommon3(graph_.Neighbors(t[0]), graph_.Neighbors(t[1]),
-                 graph_.Neighbors(t[2]), [&](VertexId) { ++count; });
-  return count;
-}
-
 template <typename Fn>
-void DynamicNucleus34Maintainer::ForEachFourClique(CliqueId t,
+void DynamicNucleus34Maintainer::ForEachFourClique(const WorkingGraph& g,
+                                                   CliqueId t,
                                                    Fn&& fn) const {
   const Triple v = Vertices(t);
-  ForEachCommon3(graph_.Neighbors(v[0]), graph_.Neighbors(v[1]),
-                 graph_.Neighbors(v[2]), [&](VertexId x) {
+  ForEachCommon3(g.Neighbors(v[0]), g.Neighbors(v[1]), g.Neighbors(v[2]),
+                 [&](VertexId x) {
                    const CliqueId co[3] = {IdOf(v[0], v[1], x),
                                            IdOf(v[0], v[2], x),
                                            IdOf(v[1], v[2], x)};
@@ -65,19 +62,19 @@ void DynamicNucleus34Maintainer::ForEachFourClique(CliqueId t,
                  });
 }
 
-Degree DynamicNucleus34Maintainer::Nucleus34NumberOf(VertexId u, VertexId v,
+Degree DynamicNucleus34Maintainer::Nucleus34NumberOf(const WorkingGraph& g,
+                                                     VertexId u, VertexId v,
                                                      VertexId w) const {
-  if (!graph_.HasEdge(u, v) || !graph_.HasEdge(u, w) ||
-      !graph_.HasEdge(v, w)) {
+  if (!g.HasEdge(u, v) || !g.HasEdge(u, w) || !g.HasEdge(v, w)) {
     return kInvalidClique;
   }
   return kappa_[IdOf(u, v, w)];
 }
 
-bool DynamicNucleus34Maintainer::InsertEdge(VertexId u, VertexId v) {
-  if (!graph_.Insert(u, v)) return false;
-  const auto for_each = [this](CliqueId t, auto&& fn) {
-    ForEachFourClique(t, fn);
+void DynamicNucleus34Maintainer::EdgeInserted(const WorkingGraph& g,
+                                              VertexId u, VertexId v) {
+  const auto for_each = [this, &g](CliqueId t, auto&& fn) {
+    ForEachFourClique(g, t, fn);
   };
 
   // Born triangles all contain {u, v}: one per common neighbor. Each takes
@@ -85,17 +82,17 @@ bool DynamicNucleus34Maintainer::InsertEdge(VertexId u, VertexId v) {
   // slot. They start from their 4-clique count (valid upper bound); the
   // largest of those counts caps how high any old triangle can have risen.
   std::vector<CliqueId> born;
-  ForEachCommon(graph_.Neighbors(u), graph_.Neighbors(v), [&](VertexId w) {
+  ForEachCommon(g.Neighbors(u), g.Neighbors(v), [&](VertexId w) {
     const TriangleId t = base_.TriangleIdOf(u, v, w);
     born.push_back(t != kInvalidTriangle ? t
                                          : kappa_.Born(SortedTriple(u, v, w)));
   });
   last_repair_work_ = 0;
-  if (born.empty()) return true;  // no new triangles => no new 4-cliques
+  if (born.empty()) return;  // no new triangles => no new 4-cliques
   num_triangles_ += born.size();
   Degree max_born_d4 = 0;
   for (CliqueId t : born) {
-    const Degree d4 = QuadCount(Vertices(t));
+    const Degree d4 = QuadCount(g, Vertices(t));
     kappa_.Set(t, d4);
     max_born_d4 = std::max(max_born_d4, d4);
   }
@@ -108,30 +105,31 @@ bool DynamicNucleus34Maintainer::InsertEdge(VertexId u, VertexId v) {
   // so it was a source of that level.)
   std::vector<CliqueId> seeds = born;
   for (CliqueId t : kappa_.Risers(born, max_born_d4, for_each)) {
-    kappa_.Set(t, std::min<Degree>(kappa_[t] + 1, QuadCount(Vertices(t))));
+    kappa_.Set(t, std::min<Degree>(kappa_[t] + 1, QuadCount(g, Vertices(t))));
     seeds.push_back(t);
   }
   // The surviving co-triangles of the born 4-cliques also gained an input:
   // quad {u,v,w,x} contributes the old triangles {u,w,x} and {v,w,x}.
   for (CliqueId t : born) {
-    ForEachFourClique(t, [&](std::span<const CliqueId> co) {
+    ForEachFourClique(g, t, [&](std::span<const CliqueId> co) {
       seeds.insert(seeds.end(), co.begin(), co.end());
     });
   }
   last_repair_work_ = kappa_.Repair(seeds, for_each);
-  return true;
 }
 
-bool DynamicNucleus34Maintainer::RemoveEdge(VertexId u, VertexId v) {
-  if (!graph_.HasEdge(u, v)) return false;
+void DynamicNucleus34Maintainer::EdgeErased(const WorkingGraph& g, VertexId u,
+                                            VertexId v) {
   // Dead triangles all contain {u, v}; seeds are the surviving triangles
-  // of the 4-cliques being destroyed with them.
+  // of the 4-cliques being destroyed with them. The erase left N(u) and
+  // N(v) without v and u only, which no intersection below could hold, so
+  // both sets read the same after it as before.
   std::vector<CliqueId> dead;
-  ForEachCommon(graph_.Neighbors(u), graph_.Neighbors(v),
+  ForEachCommon(g.Neighbors(u), g.Neighbors(v),
                 [&](VertexId w) { dead.push_back(IdOf(u, v, w)); });
   std::vector<CliqueId> seeds;
   for (CliqueId t : dead) {
-    ForEachFourClique(t, [&](std::span<const CliqueId> co) {
+    ForEachFourClique(g, t, [&](std::span<const CliqueId> co) {
       for (CliqueId c : co) {
         // Of quad (t, x), the triangles containing edge {u, v} die too.
         const Triple tri = Vertices(c);
@@ -142,29 +140,27 @@ bool DynamicNucleus34Maintainer::RemoveEdge(VertexId u, VertexId v) {
       }
     });
   }
-  graph_.Erase(u, v);
   num_triangles_ -= dead.size();
   for (CliqueId t : dead) kappa_.Set(t, 0);
   last_repair_work_ =
-      kappa_.Repair(seeds, [this](CliqueId t, auto&& fn) {
-        ForEachFourClique(t, fn);
+      kappa_.Repair(seeds, [this, &g](CliqueId t, auto&& fn) {
+        ForEachFourClique(g, t, fn);
       });
-  return true;
 }
 
 std::vector<Degree>
-DynamicNucleus34Maintainer::Nucleus34NumbersInIndexOrder() const {
+DynamicNucleus34Maintainer::Nucleus34NumbersInIndexOrder(
+    const WorkingGraph& g) const {
   // Lexicographic (u < v < w) triple order — exactly a fresh
   // TriangleIndex's pristine id order.
   std::vector<Degree> out;
   out.reserve(num_triangles_);
-  for (VertexId u = 0; u < NumVertices(); ++u) {
-    for (VertexId v : graph_.Neighbors(u)) {
+  for (VertexId u = 0; u < g.NumVertices(); ++u) {
+    for (VertexId v : g.Neighbors(u)) {
       if (v <= u) continue;
-      ForEachCommon(graph_.Neighbors(u), graph_.Neighbors(v),
-                    [&](VertexId w) {
-                      if (w > v) out.push_back(kappa_[IdOf(u, v, w)]);
-                    });
+      ForEachCommon(g.Neighbors(u), g.Neighbors(v), [&](VertexId w) {
+        if (w > v) out.push_back(kappa_[IdOf(u, v, w)]);
+      });
     }
   }
   return out;

@@ -21,12 +21,14 @@
 // mutations.
 //
 // State: kappa_4 values live in an id-indexed vector over a base
-// TriangleIndex (dynamic_state.h). The standalone constructors build
-// their own base; the session hands each batch a copy of its index and a
-// copy of its cached kappa, so a batch never reads state another batch's
+// TriangleIndex (dynamic_state.h). The graph-only constructor builds its
+// own base; the session hands each batch a copy of its index and a copy
+// of its cached kappa, so a batch never reads state another batch's
 // commit patches. Triangles born after construction get side-store slots
 // keyed by their sorted vertex triple; TakeKappa re-indexes everything
 // onto the base index once the batch's triangle delta is patched into it.
+// The adjacency itself is the caller's WorkingGraph, which a session batch
+// shares among all three maintainers.
 #ifndef NUCLEUS_LOCAL_DYNAMIC_NUCLEUS34_H_
 #define NUCLEUS_LOCAL_DYNAMIC_NUCLEUS34_H_
 
@@ -43,46 +45,43 @@
 namespace nucleus {
 
 /// Maintains exact (3,4)-nucleus numbers (kappa_4 per triangle) of a
-/// mutable simple graph.
+/// mutable simple graph. The graph is the caller's: it changes the edge
+/// first, then reports the change, and passes the graph to every call
+/// that reads adjacency.
 class DynamicNucleus34Maintainer {
  public:
   explicit DynamicNucleus34Maintainer(const Graph& g);
-  explicit DynamicNucleus34Maintainer(std::size_t n);
 
-  /// Starts from an existing graph whose exact kappa_4 values are already
-  /// known (e.g. the session's kappa cache), skipping the internal
-  /// decomposition. `tris` becomes the base index and kappa is indexed by
-  /// its ids (tombstoned ids of a patched index are never read). Both are
-  /// taken by value: the maintainer keeps no reference to the caller's
-  /// state. Precondition: kappa.size() == tris.NumTriangles(), the live
-  /// triangles of `tris` are exactly the triangles of g, and the values
-  /// are the exact kappa_4 of g.
-  DynamicNucleus34Maintainer(const Graph& g, TriangleIndex tris,
-                             std::vector<Degree> kappa);
+  /// Starts from known exact kappa_4 values (e.g. the session's kappa
+  /// cache), skipping the decomposition. `tris` becomes the base index and
+  /// kappa is indexed by its ids (tombstoned ids of a patched index are
+  /// never read). Both are taken by value: the maintainer keeps no
+  /// reference to the caller's state. Precondition: kappa.size() ==
+  /// tris.NumTriangles(), and the values are the exact kappa_4 of the
+  /// graph whose triangles are the live ones of `tris`.
+  DynamicNucleus34Maintainer(TriangleIndex tris, std::vector<Degree> kappa);
 
-  /// Inserts {u, v}; false if present or invalid. Repairs kappa_4.
-  bool InsertEdge(VertexId u, VertexId v);
+  /// Repairs kappa_4 after {u, v} was inserted into g.
+  void EdgeInserted(const WorkingGraph& g, VertexId u, VertexId v);
 
-  /// Removes {u, v}; false if absent.
-  bool RemoveEdge(VertexId u, VertexId v);
+  /// Repairs kappa_4 after {u, v} was erased from g.
+  void EdgeErased(const WorkingGraph& g, VertexId u, VertexId v);
 
-  /// kappa_4 of triangle {u, v, w} (any order); kInvalidClique if absent.
-  Degree Nucleus34NumberOf(VertexId u, VertexId v, VertexId w) const;
+  /// kappa_4 of triangle {u, v, w} (any order); kInvalidClique if it is
+  /// not a triangle of g.
+  Degree Nucleus34NumberOf(const WorkingGraph& g, VertexId u, VertexId v,
+                           VertexId w) const;
 
-  std::size_t NumVertices() const { return graph_.NumVertices(); }
-  std::size_t NumEdges() const { return graph_.NumEdges(); }
   std::size_t NumTriangles() const { return num_triangles_; }
 
   /// Triangles recomputed during the last mutation (work measure).
   std::size_t LastRepairWork() const { return last_repair_work_; }
 
-  /// Materializes the current graph (for testing / interop).
-  Graph ToGraph() const { return graph_.ToGraph(); }
-
-  /// kappa_4 in TriangleIndex id order of ToGraph(): a fresh index
+  /// kappa_4 in TriangleIndex id order of g.ToGraph(): a fresh index
   /// assigns lexicographic triple order, which is exactly how this
   /// exports (for testing).
-  std::vector<Degree> Nucleus34NumbersInIndexOrder() const;
+  std::vector<Degree> Nucleus34NumbersInIndexOrder(
+      const WorkingGraph& g) const;
 
   /// Base ids whose kappa_4 was written since construction (see
   /// KappaStore::ChangedIds); destroyed triangles are written to 0.
@@ -100,18 +99,14 @@ class DynamicNucleus34Maintainer {
 
  private:
   using Triple = std::array<VertexId, 3>;
-  // Id of the triangle {a, b, c} of the working graph: its base id, else
-  // its side-store slot.
+  // Id of the triangle {a, b, c}: its base id, else its side-store slot.
   CliqueId IdOf(VertexId a, VertexId b, VertexId c) const;
   Triple Vertices(CliqueId t) const;
-  // Number of 4-cliques containing the (present) triangle t.
-  Degree QuadCount(const Triple& t) const;
   // Calls fn(co) per 4-clique of triangle t with its three other triangle
   // ids.
   template <typename Fn>
-  void ForEachFourClique(CliqueId t, Fn&& fn) const;
+  void ForEachFourClique(const WorkingGraph& g, CliqueId t, Fn&& fn) const;
 
-  WorkingGraph graph_;
   TriangleIndex base_;
   KappaStore<3> kappa_;
   std::size_t num_triangles_ = 0;

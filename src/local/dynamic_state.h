@@ -1,7 +1,8 @@
 // State the three dynamic maintainers (dynamic.h, dynamic_truss.h,
-// dynamic_nucleus34.h) share: the mutable working graph, and the exact
-// kappa per r-clique, indexed by id, together with the two traversals
-// every mutation runs over it.
+// dynamic_nucleus34.h) share: the mutable working graph, which none of
+// them owns (a session batch holds one and passes it to every maintainer
+// it carries), and the exact kappa per r-clique, indexed by id, together
+// with the two traversals every mutation runs over it.
 //
 // Ids. A maintainer numbers its r-cliques by a base index — vertex ids for
 // (1,2), EdgeIndex ids for (2,3), TriangleIndex ids for (3,4) — and gives
@@ -34,7 +35,6 @@ namespace nucleus {
 class WorkingGraph {
  public:
   explicit WorkingGraph(const Graph& g);
-  explicit WorkingGraph(std::size_t n) : adj_(n) {}
 
   std::size_t NumVertices() const { return adj_.size(); }
   std::size_t NumEdges() const { return num_edges_; }

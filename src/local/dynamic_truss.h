@@ -16,12 +16,14 @@
 // dynamic_truss_test.cc over hundreds of random mutations.
 //
 // State: truss numbers live in an id-indexed vector over a base EdgeIndex
-// (dynamic_state.h). The standalone constructors build their own base;
-// the session hands each batch a copy of its index and a copy of its
-// cached kappa, so a batch never reads state another batch's commit
-// patches. Edges born after construction get side-store slots keyed by
-// their endpoint pair; TakeKappa re-indexes everything onto the base index
-// once the batch's net delta is patched into it.
+// (dynamic_state.h). The graph-only constructor builds its own base; the
+// session hands each batch a copy of its index and a copy of its cached
+// kappa, so a batch never reads state another batch's commit patches.
+// Edges born after construction get side-store slots keyed by their
+// endpoint pair; TakeKappa re-indexes everything onto the base index once
+// the batch's net delta is patched into it. The adjacency itself is the
+// caller's WorkingGraph, which a session batch shares among all three
+// maintainers.
 #ifndef NUCLEUS_LOCAL_DYNAMIC_TRUSS_H_
 #define NUCLEUS_LOCAL_DYNAMIC_TRUSS_H_
 
@@ -37,11 +39,12 @@
 
 namespace nucleus {
 
-/// Maintains exact truss numbers of a mutable simple graph.
+/// Maintains exact truss numbers of a mutable simple graph. The graph is
+/// the caller's: it changes the edge first, then reports the change, and
+/// passes the graph to every call that reads adjacency.
 class DynamicTrussMaintainer {
  public:
   explicit DynamicTrussMaintainer(const Graph& g);
-  explicit DynamicTrussMaintainer(std::size_t n);
 
   /// Starts from an existing graph whose exact truss numbers are already
   /// known (e.g. the session's kappa cache), skipping the internal
@@ -54,26 +57,20 @@ class DynamicTrussMaintainer {
   DynamicTrussMaintainer(const Graph& g, EdgeIndex edges,
                          std::vector<Degree> kappa);
 
-  /// Inserts {u, v}; false if present or invalid. Repairs truss numbers.
-  bool InsertEdge(VertexId u, VertexId v);
+  /// Repairs truss numbers after {u, v} was inserted into g.
+  void EdgeInserted(const WorkingGraph& g, VertexId u, VertexId v);
 
-  /// Removes {u, v}; false if absent.
-  bool RemoveEdge(VertexId u, VertexId v);
+  /// Repairs truss numbers after {u, v} was erased from g.
+  void EdgeErased(const WorkingGraph& g, VertexId u, VertexId v);
 
-  /// Truss number of {u, v}; kInvalidClique if the edge is absent.
-  Degree TrussNumberOf(VertexId u, VertexId v) const;
-
-  std::size_t NumVertices() const { return graph_.NumVertices(); }
-  std::size_t NumEdges() const { return graph_.NumEdges(); }
+  /// Truss number of {u, v}; kInvalidClique if the edge is absent from g.
+  Degree TrussNumberOf(const WorkingGraph& g, VertexId u, VertexId v) const;
 
   /// Edges recomputed during the last mutation (work measure).
   std::size_t LastRepairWork() const { return last_repair_work_; }
 
-  /// Materializes the current graph (for testing / interop).
-  Graph ToGraph() const { return graph_.ToGraph(); }
-
-  /// Truss numbers in EdgeIndex id order of ToGraph() (for testing).
-  std::vector<Degree> TrussNumbersInIndexOrder() const;
+  /// Truss numbers in EdgeIndex id order of g.ToGraph() (for testing).
+  std::vector<Degree> TrussNumbersInIndexOrder(const WorkingGraph& g) const;
 
   /// Base ids whose truss number was written since construction (see
   /// KappaStore::ChangedIds); removed edges are written to 0.
@@ -90,25 +87,22 @@ class DynamicTrussMaintainer {
 
  private:
   using Pair = std::array<VertexId, 2>;
-  // Id of the edge {u, v} of the working graph: its base id, else its
-  // side-store slot. Traversals read ids off edge_ids_ instead.
+  // Id of the edge {u, v}: its base id, else its side-store slot.
+  // Traversals read ids off edge_ids_ instead.
   CliqueId IdOf(VertexId u, VertexId v) const;
-  // Fills edge_ids_ for the working graph with one transpose pass.
-  void BuildEdgeIds();
-  // Position of b in a's neighbor list (present or insertion point).
-  std::size_t Slot(VertexId a, VertexId b) const;
+  // Fills edge_ids_ for g with one transpose pass.
+  void BuildEdgeIds(const Graph& g);
   Pair Endpoints(CliqueId e) const;
-  Degree TriangleCount(VertexId u, VertexId v) const;
   // Calls fn(co) per triangle of edge e with its two other edge ids.
   template <typename Fn>
-  void ForEachTriangle(CliqueId e, Fn&& fn) const;
+  void ForEachTriangle(const WorkingGraph& g, CliqueId e, Fn&& fn) const;
 
-  WorkingGraph graph_;
   EdgeIndex base_;
   KappaStore<2> kappa_;
-  // edge_ids_[v][i] is the id of edge {v, graph_.Neighbors(v)[i]}, kept in
-  // step with graph_, so a triangle's co-edge ids come out of the
-  // neighbor-list merge that finds it, with no lookup.
+  // edge_ids_[v][i] is the id of edge {v, g.Neighbors(v)[i]}, kept in step
+  // with the graph the mutations are reported against, so a triangle's
+  // co-edge ids come out of the neighbor-list merge that finds it, with no
+  // lookup.
   std::vector<std::vector<CliqueId>> edge_ids_;
   std::size_t last_repair_work_ = 0;
 };

@@ -204,7 +204,8 @@ StatusOr<std::string> DecodeChunkedBody(std::string_view in) {
     }
     pos = line_end + 2;
     if (size == 0) return out;  // trailers, if any, are ignored
-    if (pos + size + 2 > in.size()) {
+    // pos <= in.size() here; a sum with a hex size near 2^64 would wrap.
+    if (in.size() - pos < 2 || size > in.size() - pos - 2) {
       return Status::InvalidArgument("chunked body: truncated chunk");
     }
     out.append(in.substr(pos, size));
@@ -241,6 +242,7 @@ const char* HttpReasonFor(int http_status) {
     case 429: return "Too Many Requests";
     case 499: return "Client Closed Request";
     case 500: return "Internal Server Error";
+    case 501: return "Not Implemented";
     case 503: return "Service Unavailable";
     case 504: return "Gateway Timeout";
   }

@@ -346,6 +346,15 @@ class ReactorServer::Loop {
           break;
         }
         c->head = std::move(parsed).value();
+        if (c->head.headers.count("transfer-encoding") != 0) {
+          // Bodies are framed by Content-Length only: serving this request
+          // would parse its body bytes as the next request.
+          RespondAndClose(c, 501,
+                          HttpErrorBody(Status::InvalidArgument(
+                              "Transfer-Encoding is not supported; frame "
+                              "the body with Content-Length")));
+          break;
+        }
         std::size_t content_length = 0;
         bool bad_length = false;
         if (const auto it = c->head.headers.find("content-length");

@@ -28,6 +28,8 @@
 //   reactor.idle_closed          idle connections reaped (idle_timeout_ms)
 //   reactor.read_timeout_closed  mid-request stalls reaped with 408
 //                                (read_deadline_ms — the slowloris guard)
+// Request bodies are framed by Content-Length alone; a request carrying
+// Transfer-Encoding gets 501 and a close, never a dispatch.
 //
 // The wire bytes — response heads, error bodies, chunk framing — come from
 // the shared helpers in http.h, so a response is exactly the framed

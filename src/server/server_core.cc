@@ -1054,8 +1054,9 @@ ServerResponse ServerCore::HandleUpdate(const JsonValue& body,
     if (commit.ok()) entry->ClearKappa();
   }
   if (!commit.ok()) return ErrorResponse(commit);
-  // The commit may have grown the vertex range — cached out-of-range
-  // rejections are stale now.
+  // The vertex set is fixed (out-of-range endpoints are rejected), but a
+  // query id rejected before the commit may now name a born edge or
+  // triangle — cached rejections are stale now.
   ClearNegativeCache();
   JsonWriter w;
   w.BeginObject()

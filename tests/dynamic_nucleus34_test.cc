@@ -15,9 +15,23 @@
 #include "src/graph/builder.h"
 #include "src/graph/generators.h"
 #include "src/peel/nucleus34.h"
+#include "tests/testlib/maintained_graph.h"
 
 namespace nucleus {
 namespace {
+
+// The (3,4) maintainer over its own working graph.
+class N34 : public testlib::MaintainedGraph<DynamicNucleus34Maintainer> {
+ public:
+  using MaintainedGraph::MaintainedGraph;
+  std::vector<Degree> Nucleus34NumbersInIndexOrder() const {
+    return maintainer().Nucleus34NumbersInIndexOrder(graph());
+  }
+  Degree Nucleus34NumberOf(VertexId u, VertexId v, VertexId w) const {
+    return maintainer().Nucleus34NumberOf(graph(), u, v, w);
+  }
+  std::size_t NumTriangles() const { return maintainer().NumTriangles(); }
+};
 
 std::vector<Degree> Recompute(const Graph& g) {
   const TriangleIndex tris(g);
@@ -26,7 +40,7 @@ std::vector<Degree> Recompute(const Graph& g) {
 
 TEST(DynamicNucleus34, StartsFromExactNucleusNumbers) {
   const Graph g = GenerateErdosRenyi(25, 130, 1);
-  DynamicNucleus34Maintainer m(g);
+  N34 m(g);
   EXPECT_EQ(m.Nucleus34NumbersInIndexOrder(), Recompute(g));
   EXPECT_EQ(m.NumEdges(), g.NumEdges());
   EXPECT_EQ(m.NumTriangles(), TriangleIndex(g).NumTriangles());
@@ -36,7 +50,7 @@ TEST(DynamicNucleus34, PrecomputedKappaCtorSkipsDecomposition) {
   const Graph g = GenerateErdosRenyi(25, 130, 2);
   const TriangleIndex tris(g);
   const auto kappa = Nucleus34Numbers(g, tris);
-  DynamicNucleus34Maintainer m(g, tris, kappa);
+  N34 m(g, DynamicNucleus34Maintainer(tris, kappa));
   EXPECT_EQ(m.Nucleus34NumbersInIndexOrder(), kappa);
   // Mutations repair correctly from the seeded state.
   VertexId free_v = 1;
@@ -79,7 +93,7 @@ TEST(DynamicNucleus34, PrecomputedKappaCtorIgnoresTombstonedIds) {
     const auto& tri = fresh.Vertices(t);
     kappa[tris.TriangleIdOf(tri[0], tri[1], tri[2])] = kappa_fresh[t];
   }
-  DynamicNucleus34Maintainer m(g1, tris, kappa);
+  N34 m(g1, DynamicNucleus34Maintainer(tris, kappa));
   EXPECT_EQ(m.NumTriangles(), fresh.NumTriangles());
   EXPECT_EQ(m.Nucleus34NumbersInIndexOrder(), kappa_fresh);
   EXPECT_EQ(m.Nucleus34NumberOf(dead[0][0], dead[0][1], dead[0][2]),
@@ -91,7 +105,7 @@ TEST(DynamicNucleus34, PrecomputedKappaCtorIgnoresTombstonedIds) {
 }
 
 TEST(DynamicNucleus34, BuildK5EdgeByEdge) {
-  DynamicNucleus34Maintainer m(std::size_t{5});
+  N34 m(BuildGraphFromEdges(5, {}));
   for (VertexId u = 0; u < 5; ++u) {
     for (VertexId v = u + 1; v < 5; ++v) {
       ASSERT_TRUE(m.InsertEdge(u, v));
@@ -104,7 +118,7 @@ TEST(DynamicNucleus34, BuildK5EdgeByEdge) {
 }
 
 TEST(DynamicNucleus34, RemoveFromK5) {
-  DynamicNucleus34Maintainer m(GenerateComplete(5));
+  N34 m(GenerateComplete(5));
   ASSERT_TRUE(m.RemoveEdge(0, 1));
   EXPECT_EQ(m.Nucleus34NumbersInIndexOrder(), Recompute(m.ToGraph()));
   EXPECT_EQ(m.Nucleus34NumberOf(2, 3, 4), 1u);
@@ -112,7 +126,7 @@ TEST(DynamicNucleus34, RemoveFromK5) {
 }
 
 TEST(DynamicNucleus34, RejectsInvalidOperations) {
-  DynamicNucleus34Maintainer m(std::size_t{3});
+  N34 m(BuildGraphFromEdges(3, {}));
   EXPECT_FALSE(m.InsertEdge(0, 0));
   EXPECT_FALSE(m.InsertEdge(0, 7));
   EXPECT_TRUE(m.InsertEdge(0, 1));
@@ -122,7 +136,7 @@ TEST(DynamicNucleus34, RejectsInvalidOperations) {
 
 TEST(DynamicNucleus34, InsertionSequenceMatchesRecompute) {
   const Graph target = GenerateErdosRenyi(20, 95, 7);
-  DynamicNucleus34Maintainer m(target.NumVertices());
+  N34 m(BuildGraphFromEdges(target.NumVertices(), {}));
   for (VertexId u = 0; u < target.NumVertices(); ++u) {
     for (VertexId v : target.Neighbors(u)) {
       if (v < u) continue;
@@ -136,7 +150,7 @@ TEST(DynamicNucleus34, InsertionSequenceMatchesRecompute) {
 TEST(DynamicNucleus34, MixedChurnMatchesRecompute) {
   Rng rng(3);
   const std::size_t n = 14;
-  DynamicNucleus34Maintainer m(n);
+  N34 m(BuildGraphFromEdges(n, {}));
   for (int step = 0; step < 250; ++step) {
     const VertexId u = static_cast<VertexId>(rng.UniformInt(0, n - 1));
     const VertexId v = static_cast<VertexId>(rng.UniformInt(0, n - 1));
@@ -153,7 +167,7 @@ TEST(DynamicNucleus34, MixedChurnMatchesRecompute) {
 TEST(DynamicNucleus34, DenseCommunityChurn) {
   // Dense planted block: the stress case for the multi-source bump BFS.
   const Graph g = GeneratePlantedPartition(2, 8, 0.85, 0.15, 5);
-  DynamicNucleus34Maintainer m(g);
+  N34 m(g);
   Rng rng(11);
   for (int step = 0; step < 120; ++step) {
     const VertexId u = static_cast<VertexId>(rng.UniformInt(0, 15));
@@ -170,7 +184,7 @@ TEST(DynamicNucleus34, DenseCommunityChurn) {
 
 TEST(DynamicNucleus34, DeletionSequenceMatchesRecompute) {
   const Graph g = GenerateBarabasiAlbert(16, 5, 13);
-  DynamicNucleus34Maintainer m(g);
+  N34 m(g);
   std::vector<std::pair<VertexId, VertexId>> edges;
   for (VertexId u = 0; u < g.NumVertices(); ++u) {
     for (VertexId v : g.Neighbors(u)) {
@@ -188,14 +202,14 @@ TEST(DynamicNucleus34, DeletionSequenceMatchesRecompute) {
 }
 
 TEST(DynamicNucleus34, QuadFreeStaysZero) {
-  DynamicNucleus34Maintainer m(GenerateGrid(4, 4));
+  N34 m(GenerateGrid(4, 4));
   m.InsertEdge(0, 5);  // diagonal: creates triangles but no 4-clique
   for (Degree k : m.Nucleus34NumbersInIndexOrder()) EXPECT_EQ(k, 0u);
 }
 
 TEST(DynamicNucleus34, WorkIsBoundedByGraph) {
   const Graph g = GenerateErdosRenyi(40, 260, 9);
-  DynamicNucleus34Maintainer m(g);
+  N34 m(g);
   Rng rng(7);
   for (int i = 0; i < 10; ++i) {
     const VertexId u = static_cast<VertexId>(rng.UniformInt(0, 39));
@@ -232,8 +246,8 @@ TEST(DynamicNucleus34, RebirthWithinOneSequenceForEveryConstructor) {
   // Case 1: an edge carrying born triangles (and born 4-cliques) is
   // inserted and removed again; case 2: an edge of live triangles is
   // removed and re-inserted — each among other mutations, and from each
-  // constructor (the (size_t n) one is fed g's edges first, so every
-  // triangle sits in its side store).
+  // start (the edgeless one is fed g's edges first, so every triangle
+  // sits in its side store).
   const Graph g = GeneratePlantedPartition(2, 9, 0.75, 0.1, 3);
   const auto [bu, bv] = PairWithQuads(g, false);
   const auto [lu, lv] = PairWithQuads(g, true);
@@ -241,11 +255,11 @@ TEST(DynamicNucleus34, RebirthWithinOneSequenceForEveryConstructor) {
   ASSERT_NE(lu, lv);
   const TriangleIndex tris(g);
   for (int ctor = 0; ctor < 3; ++ctor) {
-    DynamicNucleus34Maintainer m =
-        ctor == 0 ? DynamicNucleus34Maintainer(g)
-        : ctor == 1
-            ? DynamicNucleus34Maintainer(g, tris, Nucleus34Numbers(g, tris))
-            : DynamicNucleus34Maintainer(g.NumVertices());
+    N34 m = ctor == 0 ? N34(g)
+            : ctor == 1
+                ? N34(g, DynamicNucleus34Maintainer(tris,
+                                                    Nucleus34Numbers(g, tris)))
+                : N34(BuildGraphFromEdges(g.NumVertices(), {}));
     if (ctor == 2) {
       for (VertexId u = 0; u < g.NumVertices(); ++u) {
         for (VertexId v : g.Neighbors(u)) {
@@ -279,7 +293,7 @@ TEST(DynamicNucleus34, TakeKappaLandsOnThePatchedIndex) {
   // must put each exact kappa_4 on its patched id and 0 on the tombstones.
   const Graph g = GeneratePlantedPartition(2, 9, 0.75, 0.1, 11);
   TriangleIndex tris(g);
-  DynamicNucleus34Maintainer m(g, tris, Nucleus34Numbers(g, tris));
+  N34 m(g, DynamicNucleus34Maintainer(tris, Nucleus34Numbers(g, tris)));
   std::map<std::pair<VertexId, VertexId>, bool> net;  // pair -> inserted
   Rng rng(4);
   for (int step = 0; step < 60; ++step) {
@@ -304,7 +318,7 @@ TEST(DynamicNucleus34, TakeKappaLandsOnThePatchedIndex) {
   ASSERT_FALSE(tdelta.dead.empty());
   ASSERT_FALSE(tdelta.born.empty());
   tris.ApplyDelta(tdelta.dead, tdelta.born);
-  const std::vector<Degree> got = m.TakeKappa(tris);
+  const std::vector<Degree> got = m.maintainer().TakeKappa(tris);
   ASSERT_EQ(got.size(), tris.NumTriangles());
   const TriangleIndex fresh(after);
   const auto want = Nucleus34Numbers(after, fresh);

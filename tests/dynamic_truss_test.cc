@@ -11,9 +11,22 @@
 #include "src/graph/builder.h"
 #include "src/graph/generators.h"
 #include "src/peel/ktruss.h"
+#include "tests/testlib/maintained_graph.h"
 
 namespace nucleus {
 namespace {
+
+// The truss maintainer over its own working graph.
+class Truss : public testlib::MaintainedGraph<DynamicTrussMaintainer> {
+ public:
+  using MaintainedGraph::MaintainedGraph;
+  std::vector<Degree> TrussNumbersInIndexOrder() const {
+    return maintainer().TrussNumbersInIndexOrder(graph());
+  }
+  Degree TrussNumberOf(VertexId u, VertexId v) const {
+    return maintainer().TrussNumberOf(graph(), u, v);
+  }
+};
 
 std::vector<Degree> Recompute(const Graph& g) {
   const EdgeIndex edges(g);
@@ -22,7 +35,7 @@ std::vector<Degree> Recompute(const Graph& g) {
 
 TEST(DynamicTruss, StartsFromExactTrussNumbers) {
   const Graph g = GenerateErdosRenyi(30, 120, 1);
-  DynamicTrussMaintainer m(g);
+  Truss m(g);
   EXPECT_EQ(m.TrussNumbersInIndexOrder(), Recompute(g));
   EXPECT_EQ(m.NumEdges(), g.NumEdges());
 }
@@ -31,7 +44,7 @@ TEST(DynamicTruss, PrecomputedKappaCtorSkipsDecomposition) {
   const Graph g = GenerateErdosRenyi(30, 120, 2);
   const EdgeIndex edges(g);
   const auto kappa = TrussNumbers(g, edges);
-  DynamicTrussMaintainer m(g, edges, kappa);
+  Truss m(g, DynamicTrussMaintainer(g, edges, kappa));
   EXPECT_EQ(m.NumEdges(), g.NumEdges());
   EXPECT_EQ(m.TrussNumbersInIndexOrder(), kappa);
   // Mutations repair correctly from the seeded state.
@@ -65,7 +78,7 @@ TEST(DynamicTruss, PrecomputedKappaCtorIgnoresTombstonedIds) {
     const auto [u, v] = fresh.Endpoints(e);
     kappa[edges.EdgeIdOf(u, v)] = kappa_fresh[e];
   }
-  DynamicTrussMaintainer m(g1, edges, kappa);
+  Truss m(g1, DynamicTrussMaintainer(g1, edges, kappa));
   EXPECT_EQ(m.NumEdges(), g1.NumEdges());
   EXPECT_EQ(m.TrussNumbersInIndexOrder(), kappa_fresh);
   EXPECT_EQ(m.TrussNumberOf(ru, rv), kInvalidClique);
@@ -76,7 +89,7 @@ TEST(DynamicTruss, PrecomputedKappaCtorIgnoresTombstonedIds) {
 }
 
 TEST(DynamicTruss, BuildK4EdgeByEdge) {
-  DynamicTrussMaintainer m(std::size_t{4});
+  Truss m(BuildGraphFromEdges(4, {}));
   const std::pair<VertexId, VertexId> edges[] = {{0, 1}, {0, 2}, {1, 2},
                                                  {0, 3}, {1, 3}, {2, 3}};
   for (const auto& [u, v] : edges) {
@@ -88,7 +101,7 @@ TEST(DynamicTruss, BuildK4EdgeByEdge) {
 }
 
 TEST(DynamicTruss, RemoveFromK4) {
-  DynamicTrussMaintainer m(GenerateComplete(4));
+  Truss m(GenerateComplete(4));
   ASSERT_TRUE(m.RemoveEdge(0, 1));
   EXPECT_EQ(m.TrussNumbersInIndexOrder(), Recompute(m.ToGraph()));
   EXPECT_EQ(m.TrussNumberOf(2, 3), 1u);
@@ -96,7 +109,7 @@ TEST(DynamicTruss, RemoveFromK4) {
 }
 
 TEST(DynamicTruss, RejectsInvalidOperations) {
-  DynamicTrussMaintainer m(std::size_t{3});
+  Truss m(BuildGraphFromEdges(3, {}));
   EXPECT_FALSE(m.InsertEdge(0, 0));
   EXPECT_FALSE(m.InsertEdge(0, 7));
   EXPECT_TRUE(m.InsertEdge(0, 1));
@@ -106,7 +119,7 @@ TEST(DynamicTruss, RejectsInvalidOperations) {
 
 TEST(DynamicTruss, InsertionSequenceMatchesRecompute) {
   const Graph target = GenerateErdosRenyi(24, 110, 7);
-  DynamicTrussMaintainer m(target.NumVertices());
+  Truss m(BuildGraphFromEdges(target.NumVertices(), {}));
   for (VertexId u = 0; u < target.NumVertices(); ++u) {
     for (VertexId v : target.Neighbors(u)) {
       if (v < u) continue;
@@ -120,7 +133,7 @@ TEST(DynamicTruss, InsertionSequenceMatchesRecompute) {
 TEST(DynamicTruss, MixedChurnMatchesRecompute) {
   Rng rng(3);
   const std::size_t n = 18;
-  DynamicTrussMaintainer m(n);
+  Truss m(BuildGraphFromEdges(n, {}));
   for (int step = 0; step < 300; ++step) {
     const VertexId u = static_cast<VertexId>(rng.UniformInt(0, n - 1));
     const VertexId v = static_cast<VertexId>(rng.UniformInt(0, n - 1));
@@ -137,7 +150,7 @@ TEST(DynamicTruss, MixedChurnMatchesRecompute) {
 TEST(DynamicTruss, DenseCommunityChurn) {
   // Dense planted block: the stress case for the bump region logic.
   const Graph g = GeneratePlantedPartition(2, 10, 0.8, 0.1, 5);
-  DynamicTrussMaintainer m(g);
+  Truss m(g);
   Rng rng(11);
   for (int step = 0; step < 150; ++step) {
     const VertexId u = static_cast<VertexId>(rng.UniformInt(0, 19));
@@ -154,7 +167,7 @@ TEST(DynamicTruss, DenseCommunityChurn) {
 
 TEST(DynamicTruss, DeletionSequenceMatchesRecompute) {
   const Graph g = GenerateBarabasiAlbert(20, 4, 13);
-  DynamicTrussMaintainer m(g);
+  Truss m(g);
   std::vector<std::pair<VertexId, VertexId>> edges;
   for (VertexId u = 0; u < g.NumVertices(); ++u) {
     for (VertexId v : g.Neighbors(u)) {
@@ -171,14 +184,14 @@ TEST(DynamicTruss, DeletionSequenceMatchesRecompute) {
 }
 
 TEST(DynamicTruss, TriangleFreeStaysZero) {
-  DynamicTrussMaintainer m(GenerateGrid(4, 4));
+  Truss m(GenerateGrid(4, 4));
   m.InsertEdge(0, 15);  // a chord; still no triangle through most edges
   for (Degree k : m.TrussNumbersInIndexOrder()) EXPECT_LE(k, 1u);
 }
 
 TEST(DynamicTruss, WorkIsBoundedByGraph) {
   const Graph g = GenerateErdosRenyi(60, 280, 9);
-  DynamicTrussMaintainer m(g);
+  Truss m(g);
   Rng rng(7);
   for (int i = 0; i < 10; ++i) {
     const VertexId u = static_cast<VertexId>(rng.UniformInt(0, 59));
@@ -207,7 +220,7 @@ TEST(DynamicTruss, RiserSearchStaysOnItsLevel) {
       ++pendant;
     }
   }
-  DynamicTrussMaintainer m(BuildGraphFromEdges(pendant, edges));
+  Truss m(BuildGraphFromEdges(pendant, edges));
   ASSERT_TRUE(m.InsertEdge(2, 5));
   EXPECT_EQ(m.TrussNumbersInIndexOrder(), Recompute(m.ToGraph()));
   EXPECT_EQ(m.TrussNumberOf(0, 5), 2u);
@@ -243,8 +256,8 @@ std::pair<VertexId, VertexId> EdgeWithTriangles(const Graph& g) {
 TEST(DynamicTruss, RebirthWithinOneSequenceForEveryConstructor) {
   // Case 1: an edge carrying born triangles is inserted and removed again;
   // case 2: an edge of live triangles is removed and re-inserted — each
-  // among other mutations, and from each constructor (the (size_t n) one
-  // is fed g's edges first, so every edge sits in its side store).
+  // among other mutations, and from each start (the edgeless one is fed
+  // g's edges first, so every edge sits in its side store).
   const Graph g = GeneratePlantedPartition(2, 10, 0.7, 0.1, 5);
   const auto [bu, bv] = AbsentPairWithTriangles(g);
   const auto [lu, lv] = EdgeWithTriangles(g);
@@ -252,10 +265,11 @@ TEST(DynamicTruss, RebirthWithinOneSequenceForEveryConstructor) {
   ASSERT_NE(lu, lv);
   const EdgeIndex edges(g);
   for (int ctor = 0; ctor < 3; ++ctor) {
-    DynamicTrussMaintainer m =
-        ctor == 0   ? DynamicTrussMaintainer(g)
-        : ctor == 1 ? DynamicTrussMaintainer(g, edges, TrussNumbers(g, edges))
-                    : DynamicTrussMaintainer(g.NumVertices());
+    Truss m =
+        ctor == 0   ? Truss(g)
+        : ctor == 1 ? Truss(g, DynamicTrussMaintainer(g, edges,
+                                                      TrussNumbers(g, edges)))
+                    : Truss(BuildGraphFromEdges(g.NumVertices(), {}));
     if (ctor == 2) {
       for (EdgeId e = 0; e < edges.NumEdges(); ++e) {
         ASSERT_TRUE(m.InsertEdge(edges.Endpoints(e).first,
@@ -285,7 +299,7 @@ TEST(DynamicTruss, TakeKappaLandsOnThePatchedIndex) {
   // on its patched id and 0 on the tombstones.
   const Graph g = GeneratePlantedPartition(2, 10, 0.7, 0.1, 7);
   EdgeIndex edges(g);
-  DynamicTrussMaintainer m(g, edges, TrussNumbers(g, edges));
+  Truss m(g, DynamicTrussMaintainer(g, edges, TrussNumbers(g, edges)));
   std::map<std::pair<VertexId, VertexId>, bool> net;  // pair -> inserted
   Rng rng(3);
   for (int step = 0; step < 80; ++step) {
@@ -309,7 +323,7 @@ TEST(DynamicTruss, TakeKappaLandsOnThePatchedIndex) {
   ASSERT_FALSE(inserted.empty());
   edges.ApplyDelta(removed, inserted);
   const Graph after = m.ToGraph();
-  const std::vector<Degree> got = m.TakeKappa(edges);
+  const std::vector<Degree> got = m.maintainer().TakeKappa(edges);
   ASSERT_EQ(got.size(), edges.NumEdges());
   const EdgeIndex fresh(after);
   const auto want = TrussNumbers(after, fresh);

@@ -84,6 +84,10 @@ TEST(HttpWire, RejectsMalformedChunkedBodies) {
   EXPECT_FALSE(DecodeChunkedBody("5\r\nhel").ok());     // truncated data
   EXPECT_FALSE(DecodeChunkedBody("5\r\nhello").ok());   // missing CRLF
   EXPECT_FALSE(DecodeChunkedBody("5\r\nhelloXX0\r\n\r\n").ok());
+  // A size near 2^64 must not wrap the bounds check and read past the end.
+  const auto huge = DecodeChunkedBody("fffffffffffffffe\r\n0\r\n\r\n");
+  ASSERT_FALSE(huge.ok());
+  EXPECT_EQ(huge.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(HttpWire, StatusMapping) {
@@ -97,6 +101,7 @@ TEST(HttpWire, StatusMapping) {
   EXPECT_EQ(HttpStatusFor(StatusCode::kInternal), 500);
   EXPECT_EQ(HttpStatusFor(StatusCode::kDeadlineExceeded), 504);
   EXPECT_STREQ(HttpReasonFor(404), "Not Found");
+  EXPECT_STREQ(HttpReasonFor(501), "Not Implemented");
 }
 
 TEST(HttpWire, RoutesRequests) {

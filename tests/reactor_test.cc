@@ -28,6 +28,7 @@
 #include <barrier>
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <thread>
@@ -692,6 +693,40 @@ TEST(ReactorServerTest, StalledMidRequestGets408) {
   EXPECT_NE(response.find("read deadline expired"), std::string::npos);
   ::close(fd);
   EXPECT_GE(CounterValue(core, "reactor.read_timeout_closed"), 1u);
+  server.Stop();
+  core.Shutdown();
+}
+
+// Hygiene: bodies are framed by Content-Length only, so a chunked POST is
+// refused with one 501 and a close. Its chunk bytes, here a whole second
+// request, must never be parsed as a request of their own.
+TEST(ReactorServerTest, ChunkedRequestGets501AndClose) {
+  SKIP_IF_NO_REACTOR();
+  ServerCore core(Config(1));
+  ASSERT_TRUE(core.registry().Add("g", FastGraph()).ok());
+  ReactorServer server(&core, RConfig(1));
+  ASSERT_TRUE(server.Start().ok());
+
+  const int fd = RawConnect(server.port());
+  ASSERT_GE(fd, 0);
+  const std::string smuggled =
+      "POST /api/update HTTP/1.1\r\nHost: t\r\nContent-Length: 30\r\n\r\n"
+      R"({"graph":"g","insert":[[0,1]]})";
+  char size_line[16];
+  std::snprintf(size_line, sizeof(size_line), "%zx\r\n", smuggled.size());
+  ASSERT_TRUE(SendAll(fd, "POST /api/update HTTP/1.1\r\nHost: t\r\n"
+                          "Transfer-Encoding: chunked\r\n\r\n" +
+                              std::string(size_line) + smuggled +
+                              "\r\n0\r\n\r\n"));
+  const std::string response = RecvUntilClosed(fd, 5000);
+  EXPECT_EQ(StatusOfRaw(response), 501) << response;
+  EXPECT_NE(response.find("Connection: close"), std::string::npos);
+  EXPECT_NE(response.find("Transfer-Encoding is not supported"),
+            std::string::npos);
+  // Exactly one response, then EOF.
+  EXPECT_EQ(response.find("HTTP/1.1", 1), std::string::npos) << response;
+  ::close(fd);
+  EXPECT_EQ(CounterValue(core, "requests.update"), 0u);
   server.Stop();
   core.Shutdown();
 }

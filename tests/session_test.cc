@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <set>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "src/graph/builder.h"
 #include "src/graph/generators.h"
 #include "src/peel/generic_peel.h"
 
@@ -719,6 +721,91 @@ TEST(Session, MovedFromUpdateBatchCannotCommit) {
   EXPECT_EQ(session.graph().NumEdges(), g.NumEdges() + 1);
 }
 
+TEST(Session, MovedBatchCarriesItsGraphForEveryKind) {
+  // The batch owns the one adjacency its three maintainers repair over, so
+  // a move must carry it: mutations before and after the move both land,
+  // and the committed kappa of every kind equals a fresh session's on the
+  // expected graph, compared by vertex, vertex pair and vertex triple.
+  const Graph g = GeneratePlantedPartition(3, 12, 0.6, 0.05, 41);
+  NucleusSession session(g);
+  for (const auto kind : {DecompositionKind::kCore, DecompositionKind::kTruss,
+                          DecompositionKind::kNucleus34}) {
+    ASSERT_TRUE(session.Decompose(kind).ok());
+  }
+  std::set<std::pair<VertexId, VertexId>> edges;
+  for (VertexId u = 0; u < g.NumVertices(); ++u) {
+    for (VertexId v : g.Neighbors(u)) {
+      if (u < v) edges.emplace(u, v);
+    }
+  }
+
+  auto b1 = session.BeginUpdates();
+  ASSERT_TRUE(b1.MaintainsTruss());
+  ASSERT_TRUE(b1.MaintainsNucleus34());
+  // Before the move: removals that kill triangles and 4-cliques.
+  const EdgeIndex pre(g);
+  for (EdgeId e = 0; e < pre.NumEdges(); e += 5) {
+    const auto [u, v] = pre.Endpoints(e);
+    ASSERT_TRUE(b1.RemoveEdge(u, v));
+    edges.erase({u, v});
+  }
+  NucleusSession::UpdateBatch b2 = std::move(b1);
+  ASSERT_TRUE(b2.MaintainsTruss());
+  ASSERT_TRUE(b2.MaintainsNucleus34());
+  // After it: absent pairs come in, one removed edge among them, and a
+  // pair removed before the move is still absent in the moved-to batch.
+  const auto [ru, rv] = pre.Endpoints(5);
+  EXPECT_FALSE(b2.RemoveEdge(ru, rv));
+  ASSERT_TRUE(b2.InsertEdge(ru, rv));
+  edges.emplace(ru, rv);
+  int inserted = 0;
+  for (VertexId u = 0; u < g.NumVertices() && inserted < 20; ++u) {
+    for (VertexId v = u + 1; v < g.NumVertices() && inserted < 20; v += 3) {
+      if (edges.count({u, v}) != 0) continue;
+      ASSERT_TRUE(b2.InsertEdge(u, v));
+      edges.emplace(u, v);
+      ++inserted;
+    }
+  }
+  ASSERT_TRUE(b2.Commit().ok());
+
+  const Graph expected = BuildGraphFromEdges(
+      g.NumVertices(), {edges.begin(), edges.end()});
+  EXPECT_EQ(session.graph().NeighborArray(), expected.NeighborArray());
+  NucleusSession fresh(expected);
+  const auto read = [](NucleusSession& s, DecompositionKind kind) {
+    auto r = s.Decompose(kind);
+    EXPECT_TRUE(r.ok());
+    return r.ok() ? r->kappa : std::vector<Degree>{};
+  };
+  const auto core = session.Decompose(DecompositionKind::kCore);
+  ASSERT_TRUE(core.ok());
+  EXPECT_TRUE(core->served_from_cache);
+  EXPECT_EQ(core->kappa, read(fresh, DecompositionKind::kCore));
+
+  const auto truss = read(session, DecompositionKind::kTruss);
+  const auto truss_want = read(fresh, DecompositionKind::kTruss);
+  const EdgeIndex& want_edges = fresh.Edges();
+  ASSERT_GT(want_edges.NumEdges(), 0u);
+  for (EdgeId e = 0; e < want_edges.NumEdges(); ++e) {
+    const auto [u, v] = want_edges.Endpoints(e);
+    ASSERT_EQ(truss[session.Edges().EdgeIdOf(u, v)], truss_want[e])
+        << "edge {" << u << "," << v << "}";
+  }
+  const auto n34 = read(session, DecompositionKind::kNucleus34);
+  const auto n34_want = read(fresh, DecompositionKind::kNucleus34);
+  const TriangleIndex& want_tris = fresh.Triangles();
+  ASSERT_GT(want_tris.NumTriangles(), 0u);
+  for (TriangleId t = 0; t < want_tris.NumTriangles(); ++t) {
+    const auto& tri = want_tris.Vertices(t);
+    ASSERT_EQ(n34[session.Triangles().TriangleIdOf(tri[0], tri[1], tri[2])],
+              n34_want[t])
+        << "triangle {" << tri[0] << "," << tri[1] << "," << tri[2] << "}";
+  }
+  EXPECT_EQ(session.stats().truss_kappa_seeds, 1);
+  EXPECT_EQ(session.stats().nucleus34_kappa_seeds, 1);
+}
+
 TEST(Session, EmptyCommitKeepsCaches) {
   const Graph g = GenerateErdosRenyi(40, 120, 23);
   NucleusSession session(g);
@@ -1022,17 +1109,21 @@ TEST(Session, BatchesStayIsolatedFromAnotherBatchsCommit) {
 
   // b2 mutates afterwards: removals and insertions that kill and birth
   // triangles, a removal undone, and an insertion undone.
+  // The reference maintainers share one graph, as a batch's do.
+  WorkingGraph ref(g);
   DynamicTrussMaintainer truss_ref(g);
   DynamicNucleus34Maintainer n34_ref(g);
   const auto remove = [&](VertexId u, VertexId v) {
     ASSERT_TRUE(b2.RemoveEdge(u, v));
-    ASSERT_TRUE(truss_ref.RemoveEdge(u, v));
-    ASSERT_TRUE(n34_ref.RemoveEdge(u, v));
+    ASSERT_TRUE(ref.Erase(u, v));
+    truss_ref.EdgeErased(ref, u, v);
+    n34_ref.EdgeErased(ref, u, v);
   };
   const auto insert = [&](VertexId u, VertexId v) {
     ASSERT_TRUE(b2.InsertEdge(u, v));
-    ASSERT_TRUE(truss_ref.InsertEdge(u, v));
-    ASSERT_TRUE(n34_ref.InsertEdge(u, v));
+    ASSERT_TRUE(ref.Insert(u, v));
+    truss_ref.EdgeInserted(ref, u, v);
+    n34_ref.EdgeInserted(ref, u, v);
   };
   for (EdgeId e = 1; e < pre.NumEdges(); e += 9) {
     remove(pre.Endpoints(e).first, pre.Endpoints(e).second);
@@ -1041,11 +1132,11 @@ TEST(Session, BatchesStayIsolatedFromAnotherBatchsCommit) {
   remove(absent[1].first, absent[1].second);
   insert(pre.Endpoints(1).first, pre.Endpoints(1).second);
 
-  const Graph after = truss_ref.ToGraph();
+  const Graph after = ref.ToGraph();
   const EdgeIndex edges(after);
   for (EdgeId e = 0; e < edges.NumEdges(); ++e) {
     const auto [u, v] = edges.Endpoints(e);
-    ASSERT_EQ(b2.TrussNumberOf(u, v), truss_ref.TrussNumberOf(u, v))
+    ASSERT_EQ(b2.TrussNumberOf(u, v), truss_ref.TrussNumberOf(ref, u, v))
         << "edge {" << u << "," << v << "}";
   }
   EXPECT_EQ(b2.TrussNumberOf(pre.Endpoints(10).first,
@@ -1056,7 +1147,7 @@ TEST(Session, BatchesStayIsolatedFromAnotherBatchsCommit) {
   for (TriangleId t = 0; t < tris.NumTriangles(); ++t) {
     const auto& tri = tris.Vertices(t);
     ASSERT_EQ(b2.Nucleus34NumberOf(tri[0], tri[1], tri[2]),
-              n34_ref.Nucleus34NumberOf(tri[0], tri[1], tri[2]))
+              n34_ref.Nucleus34NumberOf(ref, tri[0], tri[1], tri[2]))
         << "triangle {" << tri[0] << "," << tri[1] << "," << tri[2] << "}";
   }
   const Status stale = b2.Commit();
